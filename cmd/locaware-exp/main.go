@@ -94,7 +94,6 @@ func main() {
 		seed       = flag.Int64("seed", 1, "random seed")
 		trials     = flag.Int("trials", 1, "independent replications per experiment cell")
 		workers    = flag.Int("workers", 0, "max concurrent simulations (0 = one per CPU)")
-		shards     = flag.Int("shards", 0, "per-locality event-loop shards per simulation, each drained on its own goroutine (<=1 = single queue; clamped to the occupied locality count)")
 		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file at exit")
@@ -126,7 +125,6 @@ func main() {
 	opts.Peers = *peers
 	opts.Trials = *trials
 	opts.Workers = *workers
-	opts.Shards = *shards
 
 	// Observability is inert, so attach it whenever any sink wants it:
 	// the -stats report, a standalone -obs-addr scrape surface, or the

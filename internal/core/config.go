@@ -67,26 +67,9 @@ type Config struct {
 	// phase grid with ResolveScenario before building the simulation.
 	Scenario *scenario.Spec
 
-	// Shards, when > 1, runs the simulation on the sharded event loop:
-	// peers partition by locality (occupied locIds dense-ranked, rank
-	// modulo Shards), each shard drains its own queue epoch by epoch on
-	// its own goroutine (protocol state is split per shard), and
-	// cross-locality deliveries hop shards through a deterministic
-	// mailbox. The epoch lookahead is derived from the latency model's
-	// one-way floor plus the processing delay. Runs are fully
-	// reproducible for a fixed shard count, but the cross-shard delivery
-	// interleaving differs from the single-queue order, so results are
-	// statistically equivalent rather than bit-identical to Shards <= 1
-	// (which always uses the plain engine, byte-for-byte identical to
-	// previous releases). NewSimulation validates the value: negatives
-	// clamp to 1, and counts exceeding the number of occupied localities
-	// clamp down to it (empty shard engines would only add barrier
-	// overhead).
-	Shards int
-
 	// Obs, when non-nil, attaches the run-wide observability registry:
 	// event-loop and protocol instrumentation accumulate into it through
-	// shard-confined cells, and RunResult.Runtime carries the per-run
+	// run-local cells, and RunResult.Runtime carries the per-run
 	// snapshot. Instrumentation is provably inert — it never touches RNG
 	// streams or event order, so output stays byte-identical. The json
 	// tag keeps campaign fingerprints and checkpoint identity independent
@@ -97,10 +80,9 @@ type Config struct {
 	// trace.FlightRecorder to the run: every query's events buffer only
 	// until finalize, traces matching the policy (failed / deep / slowest-N)
 	// are retained, and RunResult.Traces carries them. Like Obs, tracing is
-	// inert — per-shard trace cells merge at the sequential epoch barrier,
-	// so the parallel drain stays enabled and output is byte-identical to
-	// an untraced run — and the json tag keeps campaign fingerprints and
-	// checkpoint identity independent of whether a run is traced.
+	// inert — output is byte-identical to an untraced run — and the json
+	// tag keeps campaign fingerprints and checkpoint identity independent
+	// of whether a run is traced.
 	TracePolicy *trace.Policy `json:"-"`
 }
 

@@ -7,7 +7,6 @@ import (
 	"github.com/p2prepro/locaware/internal/obs"
 	"github.com/p2prepro/locaware/internal/protocol"
 	"github.com/p2prepro/locaware/internal/scenario"
-	"github.com/p2prepro/locaware/internal/sim"
 	"github.com/p2prepro/locaware/internal/trace"
 )
 
@@ -57,7 +56,7 @@ func BenchmarkMeasuredPathAllocs(b *testing.B) {
 // BenchmarkInstrumentedPathAllocs is BenchmarkMeasuredPathAllocs with the
 // observability registry attached: the instrumented hot path must stay
 // within the same per-query allocation budget, because per-event
-// accounting goes through shard-confined cells (plain increments) and the
+// accounting goes through run-local cells (plain increments) and the
 // only instrumentation allocations are first-seen label series and the
 // end-of-run snapshot, both amortised over the whole run.
 func BenchmarkInstrumentedPathAllocs(b *testing.B) {
@@ -93,8 +92,7 @@ func BenchmarkInstrumentedPathAllocs(b *testing.B) {
 
 // BenchmarkFlightRecorderPathAllocs is BenchmarkMeasuredPathAllocs with a
 // tail-sampling flight recorder attached. The recorder's steady state is
-// pooled query buffers plus a bounded slowest-N heap, and trace events flow
-// through per-shard cells into reused capacity, so the measured path must
+// pooled query buffers plus a bounded slowest-N heap, so the measured path must
 // stay within a few allocs/query of the untraced baseline (~42); the
 // budget this benchmark watches is ≤ 45 allocs/query.
 func BenchmarkFlightRecorderPathAllocs(b *testing.B) {
@@ -175,56 +173,25 @@ func BenchmarkScenarioOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkShardedProtocolEvents drives a full Locaware run per shard
-// count — parallel epoch drain active for shards > 1 — and reports
-// protocol events/sec. On a 1-core container the parallel drain cannot
-// show wall-clock speedup; the figure this benchmark locks is overhead
-// parity: per-shard state plus epoch batching must keep shards > 1 within
-// noise of the single queue, so that multi-core hosts only see the upside.
-func BenchmarkShardedProtocolEvents(b *testing.B) {
+// BenchmarkProtocolEvents drives a full 2000-peer Locaware run and
+// reports protocol events/sec of the event loop.
+func BenchmarkProtocolEvents(b *testing.B) {
 	const warmup, measured = 500, 2000
-	type variant struct {
-		name   string
-		shards int
-		spawn  bool
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		s := NewSimulation(benchConfig(2000, int64(i+1)), protocol.Locaware{})
+		b.StartTimer()
+		res := s.RunMeasured(warmup, measured)
+		b.StopTimer()
+		if res.Collector.Submitted() != measured {
+			b.Fatalf("submitted %d queries", res.Collector.Submitted())
+		}
+		events += res.Events
+		b.StartTimer()
 	}
-	variants := []variant{
-		{"shards=1", 1, false},
-		{"shards=2", 2, false},
-		{"shards=4", 4, false},
-		// Legacy per-epoch goroutine spawn, for the persistent-worker delta.
-		{"shards=2-spawn", 2, true},
-		{"shards=4-spawn", 4, true},
-	}
-	for _, v := range variants {
-		shards := v.shards
-		b.Run(v.name, func(b *testing.B) {
-			var events uint64
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				cfg := benchConfig(2000, int64(i+1))
-				cfg.Shards = shards
-				s := NewSimulation(cfg, protocol.Locaware{})
-				if sh, ok := s.loop.(*sim.Sharded); ok && v.spawn {
-					sh.SetSpawnDrain(true)
-				}
-				b.StartTimer()
-				res := s.RunMeasured(warmup, measured)
-				b.StopTimer()
-				if res.Err != nil {
-					b.Fatalf("shards=%d: run aborted: %v", shards, res.Err)
-				}
-				if res.Collector.Submitted() != measured {
-					b.Fatalf("shards=%d: submitted %d queries", shards, res.Collector.Submitted())
-				}
-				events += res.Events
-				b.StartTimer()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-		})
-	}
+	b.StopTimer()
+	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }
 
 // BenchmarkCollectorFootprint contrasts the two measurement modes on the

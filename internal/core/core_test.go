@@ -1,10 +1,13 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
+	"github.com/p2prepro/locaware/internal/obs"
 	"github.com/p2prepro/locaware/internal/overlay"
 	"github.com/p2prepro/locaware/internal/protocol"
+	"github.com/p2prepro/locaware/internal/scenario"
 	"github.com/p2prepro/locaware/internal/sim"
 )
 
@@ -112,6 +115,73 @@ func TestRunMeasuredPanicsOnZero(t *testing.T) {
 		}
 	}()
 	NewSimulation(smallConfig(5), protocol.Flooding{}).RunMeasured(0, 0)
+}
+
+// TestRunMeasuredTimelineErr checks that a scenario whose phases outnumber
+// the measured queries is reported through RunResult.Err, not a panic:
+// callers that drive core directly (without ResolveScenario) reach it.
+func TestRunMeasuredTimelineErr(t *testing.T) {
+	spec, ok := scenario.Lookup("churn-waves")
+	if !ok {
+		t.Fatal("churn-waves scenario missing")
+	}
+	cfg := smallConfig(5)
+	cfg.Scenario = spec
+	s := NewSimulation(cfg, protocol.Dicas{})
+	res := s.RunMeasured(0, len(spec.Phases)-1)
+	if res.Err == nil || !strings.Contains(res.Err.Error(), "scenario timeline") {
+		t.Fatalf("Err = %v, want a scenario timeline error", res.Err)
+	}
+	if res.Collector == nil || res.Collector.Submitted() != 0 || res.Events != 0 {
+		t.Fatalf("failed run carries measurements: %+v", res)
+	}
+}
+
+// TestRunNeverOutlivesDeadline locks the run-loop contract: even when a
+// periodic control's period exceeds FinalizeAfter + the horizon slack (so a
+// reschedule beyond the eventual deadline is queued before the horizon
+// exists), no event past the deadline is ever delivered.
+func TestRunNeverOutlivesDeadline(t *testing.T) {
+	cfg := benchConfig(200, 3)
+	// Gossip period far beyond FinalizeAfter + 1 minute: its
+	// self-reschedule can outlive the run deadline.
+	cfg.Protocol.BloomGossipPeriod = cfg.Protocol.FinalizeAfter + 5*sim.Minute
+	s := NewSimulation(cfg, protocol.Locaware{})
+	res := s.RunMeasured(0, 150)
+	if res.Duration > s.runDeadline {
+		t.Fatalf("run clock %v outlived deadline %v", res.Duration, s.runDeadline)
+	}
+}
+
+// TestScenarioConservation runs every built-in scenario on a small world
+// with instrumentation attached and checks the protocol conservation laws:
+// every submitted query (warmup and measured) is finalised exactly once,
+// and the run clock never passes the run deadline.
+func TestScenarioConservation(t *testing.T) {
+	const warmup, measured = 40, 120
+	for _, name := range scenario.Names() {
+		spec, _ := scenario.Lookup(name)
+		for _, b := range []protocol.Behavior{protocol.Locaware{}, protocol.Dicas{}} {
+			cfg := smallConfig(9)
+			cfg.NumPeers = 150
+			cfg.Scenario = spec
+			cfg.Obs = obs.NewRegistry()
+			cfg = ResolveScenario(cfg, measured)
+			s := NewSimulation(cfg, b)
+			res := s.RunMeasured(warmup, measured)
+			if res.Err != nil {
+				t.Fatalf("%s/%s: %v", name, b.Name(), res.Err)
+			}
+			rt := res.Runtime
+			if rt.Submitted != warmup+measured || rt.Finalized != rt.Submitted {
+				t.Fatalf("%s/%s: submitted %d, finalized %d, want %d each",
+					name, b.Name(), rt.Submitted, rt.Finalized, warmup+measured)
+			}
+			if res.Duration > s.runDeadline {
+				t.Fatalf("%s/%s: run clock %v outlived deadline %v", name, b.Name(), res.Duration, s.runDeadline)
+			}
+		}
+	}
 }
 
 func TestCachingProtocolPopulatesCaches(t *testing.T) {

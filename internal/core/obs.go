@@ -21,36 +21,27 @@ func RegisterObsFamilies(reg *obs.Registry) {
 }
 
 // RuntimeStats is one run's observability snapshot: what this simulation
-// contributed to the registry, assembled from its own shard-confined
-// cells (the registry itself may be shared across concurrent runs).
+// contributed to the registry, assembled from its own cells (the registry
+// itself may be shared across concurrent runs).
 type RuntimeStats struct {
-	// Shards is the effective shard count the run executed with.
-	Shards int
-	// EventsByKind counts deliveries per event kind across all shards.
+	// EventsByKind counts deliveries per event kind.
 	EventsByKind map[string]uint64
 	// EventsScheduled counts all schedule calls, including cancelled ones.
 	EventsScheduled uint64
 	// EventsCancelled counts cancelled events discarded by the scheduler,
 	// whether skipped at pop time or reaped during a calendar rebuild.
 	EventsCancelled uint64
-	// QueueDepthHighWater is the deepest any shard's event queue got.
+	// QueueDepthHighWater is the deepest the event queue got.
 	QueueDepthHighWater uint64
 	// FreeListEvents is the pooled-event capacity left at end of run.
 	FreeListEvents int
-	// Epochs / CrossShardEvents / MaxEpochDrainSeconds describe the
-	// sharded epoch loop (zero on a single queue).
-	Epochs               uint64
-	CrossShardEvents     uint64
-	MaxEpochDrainSeconds float64
 	// Protocol-plane counters (see protocol.ObsSnapshot).
-	Submitted            uint64
-	Finalized            uint64
-	CacheHits            uint64
-	CacheMisses          uint64
-	StorageHits          uint64
-	BloomInstallCopies   uint64
-	PendingHighWater     uint64
-	FinalizeWatermarkLag uint64
+	Submitted        uint64
+	Finalized        uint64
+	CacheHits        uint64
+	CacheMisses      uint64
+	StorageHits      uint64
+	PendingHighWater uint64
 	// TraceEventsDropped counts trace events the attached tracer's buffer
 	// discarded after filling (0 when untraced or nothing dropped). A
 	// non-zero value means the trace is incomplete — raise the buffer
@@ -60,16 +51,12 @@ type RuntimeStats struct {
 	PoolFree map[string]int
 }
 
-// attachObs wires instrumentation into the loop and network. Called at
+// attachObs wires instrumentation into the engine and network. Called at
 // build time so the hot path sees stable instr pointers for the whole
 // run.
 func (s *Simulation) attachObs(reg *obs.Registry) {
 	RegisterObsFamilies(reg)
-	if sh, ok := s.loop.(*sim.Sharded); ok {
-		s.obsSh = sh.EnableObs(reg)
-	} else {
-		s.obsEng = s.Engine.EnableObs(reg)
-	}
+	s.obsEng = s.Engine.EnableObs(reg)
 	s.Network.EnableObs(reg)
 }
 
@@ -79,29 +66,15 @@ func (s *Simulation) attachObs(reg *obs.Registry) {
 // res. No-op without an attached registry.
 func (s *Simulation) finishObs(res *RunResult) {
 	reg := s.Cfg.Obs
-	if reg == nil {
+	if reg == nil || s.obsEng == nil {
 		return
 	}
-	if s.obsSh != nil {
-		s.obsSh.Drain()
-	} else if s.obsEng != nil {
-		s.obsEng.Drain()
-	}
+	s.obsEng.Drain()
 	s.Network.DrainObs()
 
-	var scheduled, cancelled uint64
-	freelist := 0
-	if sh, ok := s.loop.(*sim.Sharded); ok {
-		for i := 0; i < sh.Shards(); i++ {
-			scheduled += sh.Engine(i).Scheduled()
-			cancelled += sh.Engine(i).Cancelled()
-			freelist += sh.Engine(i).FreeListLen()
-		}
-	} else {
-		scheduled = s.Engine.Scheduled()
-		cancelled = s.Engine.Cancelled()
-		freelist = s.Engine.FreeListLen()
-	}
+	scheduled := s.Engine.Scheduled()
+	cancelled := s.Engine.Cancelled()
+	freelist := s.Engine.FreeListLen()
 	reg.Counter(sim.MetricScheduled, "").Add(scheduled)
 	reg.Counter(sim.MetricCancelled, "").Add(cancelled)
 	reg.Gauge(sim.MetricFreeList, "").SetMax(int64(freelist))
@@ -124,29 +97,18 @@ func (s *Simulation) finishObs(res *RunResult) {
 
 	ps := s.Network.ObsStats()
 	rs := &RuntimeStats{
-		Shards:               s.Cfg.Shards,
-		EventsScheduled:      scheduled,
-		EventsCancelled:      cancelled,
-		FreeListEvents:       freelist,
-		Submitted:            ps.Submitted,
-		Finalized:            ps.Finalized,
-		CacheHits:            ps.CacheHits,
-		CacheMisses:          ps.CacheMisses,
-		StorageHits:          ps.StorageHits,
-		BloomInstallCopies:   ps.BloomInstallCopies,
-		PendingHighWater:     ps.PendingHighWater,
-		FinalizeWatermarkLag: ps.WatermarkLagHighWtr,
-		PoolFree:             pools,
-	}
-	if s.obsSh != nil {
-		rs.EventsByKind = s.obsSh.EventsByKind()
-		rs.QueueDepthHighWater = s.obsSh.QueueHighWater()
-		rs.Epochs = s.obsSh.Epochs()
-		rs.CrossShardEvents = s.obsSh.CrossShardEvents()
-		rs.MaxEpochDrainSeconds = s.obsSh.MaxEpochDrainSeconds()
-	} else if s.obsEng != nil {
-		rs.EventsByKind = s.obsEng.EventsByKind()
-		rs.QueueDepthHighWater = s.obsEng.QueueHighWater()
+		EventsByKind:        s.obsEng.EventsByKind(),
+		EventsScheduled:     scheduled,
+		EventsCancelled:     cancelled,
+		QueueDepthHighWater: s.obsEng.QueueHighWater(),
+		FreeListEvents:      freelist,
+		Submitted:           ps.Submitted,
+		Finalized:           ps.Finalized,
+		CacheHits:           ps.CacheHits,
+		CacheMisses:         ps.CacheMisses,
+		StorageHits:         ps.StorageHits,
+		PendingHighWater:    ps.PendingHighWater,
+		PoolFree:            pools,
 	}
 	if dc, ok := s.Network.TracerSink().(interface{ Dropped() uint64 }); ok {
 		if d := dc.Dropped(); d > 0 {

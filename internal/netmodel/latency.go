@@ -197,11 +197,3 @@ func (m *Model) rttTo(p, q Point) float64 {
 // OneWay returns the one-way link latency (half the RTT) in milliseconds;
 // this is the delay the simulator applies to a single message hop.
 func (m *Model) OneWay(a, b int) float64 { return m.RTT(a, b) / 2 }
-
-// MinOneWay returns a lower bound, in milliseconds, on the one-way latency
-// between any two distinct peers: half the configured MinRTT. The bound
-// holds across every code path — the geometric baseline starts at MinRTT,
-// the jitter path clamps its result to MinRTT, and regional degradation
-// only inflates — so it is a safe epoch lookahead for the sharded runner:
-// no cross-peer (hence no cross-shard) message can travel faster.
-func (m *Model) MinOneWay() float64 { return m.cfg.MinRTT / 2 }

@@ -416,43 +416,3 @@ func TestLatencyFactorsDegradeAndRestore(t *testing.T) {
 		t.Fatalf("restore drifted: %v vs healthy %v", got, healthy01)
 	}
 }
-
-// TestMinOneWay locks the lower bound the sharded runner derives its epoch
-// lookahead from: half the configured MinRTT, never exceeded downward by
-// any sampled one-way latency between distinct peers — with jitter (which
-// clamps at MinRTT), without it, and under regional degradation (which only
-// inflates).
-func TestMinOneWay(t *testing.T) {
-	m, _ := testModel(t, 150, 11)
-	if got := m.MinOneWay(); got != DefaultLatency().MinRTT/2 {
-		t.Fatalf("MinOneWay = %v, want %v", got, DefaultLatency().MinRTT/2)
-	}
-	check := func(label string) {
-		bound := m.MinOneWay()
-		for a := 0; a < 150; a++ {
-			for b := a + 1; b < 150; b++ {
-				if ow := m.OneWay(a, b); ow < bound {
-					t.Fatalf("%s: OneWay(%d,%d)=%v below MinOneWay %v", label, a, b, ow, bound)
-				}
-			}
-		}
-	}
-	check("jittered")
-	m.SetLatencyFactor(3, 4.5)
-	check("degraded")
-	m.ClearLatencyFactors()
-
-	r := rand.New(rand.NewSource(12))
-	pts := Place(100, PlacementConfig{Side: 1000}, r)
-	nj := NewModel(pts, 1000, LatencyConfig{MinRTT: 24, MaxRTT: 300}, 12)
-	if got := nj.MinOneWay(); got != 12 {
-		t.Fatalf("MinOneWay = %v, want 12", got)
-	}
-	for a := 0; a < 100; a++ {
-		for b := a + 1; b < 100; b++ {
-			if ow := nj.OneWay(a, b); ow < nj.MinOneWay() {
-				t.Fatalf("no-jitter: OneWay(%d,%d)=%v below MinOneWay %v", a, b, ow, nj.MinOneWay())
-			}
-		}
-	}
-}

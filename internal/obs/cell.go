@@ -1,11 +1,11 @@
 package obs
 
-// Cell groups shard-local instruments. The owning shard increments plain
+// Cell groups run-local instruments. The owning run increments plain
 // (non-atomic) fields on the hot path — no contention, no allocation —
 // and Drain folds the pending values into the shared registry atomics.
-// Drain must only run from a sequential context (the epoch barrier or
-// end of run); the locals keep lifetime totals so a run can snapshot its
-// own contribution even though the registry is shared across runs.
+// Drain must run on the owning run's goroutine (at end of run); the
+// locals keep lifetime totals so a run can snapshot its own contribution
+// even though the registry is shared across concurrent runs.
 type Cell struct {
 	counters []*LocalCounter
 	maxes    []*LocalMax
@@ -22,7 +22,7 @@ func (c *Cell) Drain() {
 	}
 }
 
-// LocalCounter is a shard-confined counter bound to a registry Counter.
+// LocalCounter is a run-local counter bound to a registry Counter.
 type LocalCounter struct {
 	pend  uint64
 	total uint64
@@ -50,7 +50,7 @@ func (l *LocalCounter) drain() {
 	}
 }
 
-// LocalMax tracks a shard-confined running maximum (queue depths,
+// LocalMax tracks a run-local running maximum (queue depths,
 // pending-map sizes) folded into a registry Gauge via SetMax.
 type LocalMax struct {
 	cur  uint64

@@ -1,11 +1,10 @@
 // Package obs is the run-wide observability layer: a dependency-free
 // metrics registry (counters, gauges, histograms with fixed log-scale
-// buckets) with a Prometheus text exposition writer, plus the shard-local
+// buckets) with a Prometheus text exposition writer, plus the run-local
 // cells (cell.go) that keep the simulation hot path uncontended and
 // alloc-free. Registry totals are atomics so they can be scraped from an
 // HTTP handler while runs are in flight; the hot path never touches them
-// directly — per-shard cells fold into the registry at sequential epoch
-// barriers.
+// directly — each run's cells fold into the registry when it ends.
 package obs
 
 import (

@@ -66,7 +66,7 @@ func TestFloodingFindsStorageHit(t *testing.T) {
 	f := fname("needle", "in", "stack")
 	net.Node(4).AddFile(f)
 
-	net.SubmitQuery(0, keywords.NewQuery("needle"))
+	net.Submit(0, keywords.NewQuery("needle"))
 	runAll(net)
 	net.FlushPending()
 
@@ -96,7 +96,7 @@ func TestFloodingTTLBounds(t *testing.T) {
 	cfg.TTL = 3
 	net := testNet(t, Flooding{}, linePoints(6), lineEdges(6), cfg)
 	net.Node(5).AddFile(fname("far"))
-	net.SubmitQuery(0, keywords.NewQuery("far"))
+	net.Submit(0, keywords.NewQuery("far"))
 	runAll(net)
 	net.FlushPending()
 	if net.Collector.SuccessRate() != 0 {
@@ -115,7 +115,7 @@ func TestFloodingDuplicateSuppression(t *testing.T) {
 	net := testNet(t, Flooding{}, []netmodel.Point{{X: 100, Y: 100}, {X: 200, Y: 50}, {X: 200, Y: 150}, {X: 300, Y: 100}},
 		[][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}}, cfg)
 	net.Node(3).AddFile(fname("dup"))
-	net.SubmitQuery(0, keywords.NewQuery("dup"))
+	net.Submit(0, keywords.NewQuery("dup"))
 	runAll(net)
 	net.FlushPending()
 	recs := net.Collector.Records()
@@ -136,7 +136,7 @@ func TestLocalStorageHitIsFree(t *testing.T) {
 	net := testNet(t, Flooding{}, linePoints(3), lineEdges(3), cfg)
 	f := fname("mine")
 	net.Node(0).AddFile(f)
-	net.SubmitQuery(0, keywords.NewQuery("mine"))
+	net.Submit(0, keywords.NewQuery("mine"))
 	runAll(net)
 	net.FlushPending()
 	rec := net.Collector.Records()[0]
@@ -148,7 +148,7 @@ func TestLocalStorageHitIsFree(t *testing.T) {
 func TestQueryFailureRecorded(t *testing.T) {
 	cfg := DefaultConfig()
 	net := testNet(t, Flooding{}, linePoints(3), lineEdges(3), cfg)
-	net.SubmitQuery(0, keywords.NewQuery("absent"))
+	net.Submit(0, keywords.NewQuery("absent"))
 	runAll(net)
 	net.FlushPending()
 	rec := net.Collector.Records()[0]
@@ -174,7 +174,7 @@ func TestDicasCachingGidPlacement(t *testing.T) {
 	net.Node(4).Gid = (want + 1) % cfg.GroupCount
 
 	// Full-filename query (Dicas's intended mode) so routing is correct.
-	net.SubmitQuery(0, keywords.NewQuery(f.Keywords()...))
+	net.Submit(0, keywords.NewQuery(f.Keywords()...))
 	runAll(net)
 	net.FlushPending()
 	if net.Collector.SuccessRate() != 1 {
@@ -384,7 +384,7 @@ func TestLocawareEndToEndCacheHit(t *testing.T) {
 	for i := overlay.PeerID(1); i <= 4; i++ {
 		net.Node(i).Gid = want
 	}
-	net.SubmitQuery(0, keywords.NewQuery("pop"))
+	net.Submit(0, keywords.NewQuery("pop"))
 	net.Engine.RunUntil(40*sim.Second, 0)
 	// Caches along the path now hold f with providers {5, 0}.
 	cached := 0
@@ -398,7 +398,7 @@ func TestLocawareEndToEndCacheHit(t *testing.T) {
 	}
 	before := net.Collector.Submitted()
 	_ = before
-	net.SubmitQuery(1, keywords.NewQuery("song"))
+	net.Submit(1, keywords.NewQuery("song"))
 	net.Engine.RunUntil(80*sim.Second, 0)
 	net.FlushPending()
 	recs := net.Collector.Records()
@@ -421,10 +421,10 @@ func TestChurnOfflineProvidersFiltered(t *testing.T) {
 	req := net.Node(0)
 	provs := []cache.Provider{{Peer: 3, LocID: req.Loc}}
 	net.Graph.Leave(3)
-	if live := net.liveProviders(net.states[0], provs); len(live) != 0 {
+	if live := net.liveProviders(provs); len(live) != 0 {
 		t.Fatal("offline provider not filtered")
 	}
-	if _, ok := (Locaware{}).SelectProvider(net, req, net.liveProviders(net.states[0], provs)); ok {
+	if _, ok := (Locaware{}).SelectProvider(net, req, net.liveProviders(provs)); ok {
 		t.Fatal("selection should fail with all providers offline")
 	}
 }
@@ -433,7 +433,7 @@ func TestOfflineOriginDropsQuery(t *testing.T) {
 	cfg := DefaultConfig()
 	net := testNet(t, Flooding{}, linePoints(3), lineEdges(3), cfg)
 	net.Graph.Leave(0)
-	net.SubmitQuery(0, keywords.NewQuery("x"))
+	net.Submit(0, keywords.NewQuery("x"))
 	runAll(net)
 	net.FlushPending()
 	rec := net.Collector.Records()[0]
@@ -447,12 +447,12 @@ func TestFinalizeSealsRecordOnce(t *testing.T) {
 	cfg.FinalizeAfter = 5 * sim.Second
 	net := testNet(t, Flooding{}, linePoints(3), lineEdges(3), cfg)
 	net.Node(2).AddFile(fname("seal"))
-	id := net.SubmitQuery(0, keywords.NewQuery("seal"))
+	id := net.Submit(0, keywords.NewQuery("seal"))
 	runAll(net)
 	if net.Collector.Submitted() != 1 {
 		t.Fatalf("submitted = %d", net.Collector.Submitted())
 	}
-	net.finalize(net.states[0], id) // idempotent
+	net.finalize(id) // idempotent
 	net.FlushPending()
 	if net.Collector.Submitted() != 1 {
 		t.Fatal("double finalisation")
@@ -608,7 +608,7 @@ func TestTracingLifecycle(t *testing.T) {
 	net.SetTracer(buf)
 	f := fname("traced", "file")
 	net.Node(3).AddFile(f)
-	net.SubmitQuery(0, keywords.NewQuery("traced"))
+	net.Submit(0, keywords.NewQuery("traced"))
 	runAll(net)
 	net.FlushPending()
 
@@ -646,7 +646,7 @@ func TestTracingFailureAndDuplicate(t *testing.T) {
 		[][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 3}}, cfg)
 	buf := trace.NewBuffer(1000)
 	net.SetTracer(buf)
-	net.SubmitQuery(0, keywords.NewQuery("absent"))
+	net.Submit(0, keywords.NewQuery("absent"))
 	runAll(net)
 	net.FlushPending()
 	if buf.CountKind(trace.QueryFailed) != 1 {
@@ -685,7 +685,7 @@ func TestResetCollectorIsolatesInFlightQueries(t *testing.T) {
 	cfg.FinalizeAfter = 10 * sim.Second
 	net := testNet(t, Flooding{}, linePoints(4), lineEdges(4), cfg)
 	net.Node(3).AddFile(fname("late"))
-	net.SubmitQuery(0, keywords.NewQuery("late"))
+	net.Submit(0, keywords.NewQuery("late"))
 	// Swap collectors while the query is still in flight.
 	old := net.ResetCollector()
 	runAll(net)
@@ -762,7 +762,7 @@ func TestStaleBloomInstallFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap, gen := n.announceSnapshot()
-	ev := net.states[0].acquireBloomInstall(net, 1, 0, snap, gen)
+	ev := net.acquireBloomInstall(1, 0, snap, gen)
 	// Two more rounds reuse both buffers before the event fires; the
 	// second also publishes newer content ("beta").
 	n.announceSnapshot()
@@ -784,7 +784,7 @@ func TestStaleBloomInstallFallsBack(t *testing.T) {
 	}
 	// A fresh install still lands without the fallback counter moving.
 	snap, gen = n.announceSnapshot()
-	net.states[0].acquireBloomInstall(net, 1, 0, snap, gen).Fire(net.Engine)
+	net.acquireBloomInstall(1, 0, snap, gen).Fire(net.Engine)
 	if net.StaleBloomFallbacks() != 1 {
 		t.Fatal("fresh install miscounted as stale")
 	}
@@ -807,7 +807,7 @@ func TestFlushPendingDeterministicOrder(t *testing.T) {
 		buf := trace.NewBuffer(1 << 14)
 		net.SetTracer(buf)
 		for i := 0; i < queries; i++ {
-			net.SubmitQuery(overlay.PeerID(i%8), keywords.NewQuery("no-such-file"))
+			net.Submit(overlay.PeerID(i%8), keywords.NewQuery("no-such-file"))
 		}
 		net.Engine.RunUntil(5*sim.Second, 0)
 		net.FlushPending()

@@ -22,42 +22,30 @@ type Engine struct {
 	stopped bool
 	// processed counts delivered (non-cancelled) events.
 	processed uint64
-	// scheduled counts all Schedule calls, including later-cancelled ones.
+	// scheduled counts all scheduled events, including later-cancelled ones.
 	scheduled uint64
 	// cancelled counts dead events discarded at pop time or reaped during a
 	// calendar rebuild.
 	cancelled uint64
 	// horizon, when non-zero, rejects events scheduled beyond it.
 	horizon Time
-	// route, when non-nil, may claim a typed fire-and-forget event instead
-	// of queueing it locally. The sharded runner installs it to divert
-	// events destined to another shard into that shard's mailbox.
-	route func(at Time, ev Event) bool
-	// observer, when non-nil, sees every delivered typed event just before
-	// it fires. Installed by tests and debugging harnesses (the sharded
-	// determinism test records global delivery order through it); nil costs
-	// one branch per delivery.
+	// observer, when non-nil, sees every delivered event just before it
+	// fires. Installed by tests and debugging harnesses; nil costs one
+	// branch per delivery.
 	observer func(at Time, ev Event)
-	// instr, when non-nil, counts every delivery into shard-confined
-	// observability cells (see internal/obs). Unlike observer it is safe
-	// under the parallel epoch drain — each engine owns its cells — and
-	// costs one branch per delivery when disabled.
+	// instr, when non-nil, counts every delivery into observability cells
+	// (see internal/obs); one branch per delivery when disabled.
 	instr *EngineInstr
-	// shard is this engine's index under a sharded runner (0 for a plain
-	// engine). Event handlers use it to resolve shard-confined state from
-	// the engine they fire on.
-	shard int
 }
 
-// Shard returns the engine's shard index: its position under a sharded
-// runner, or 0 for a standalone engine. Protocol state that is split by
-// shard indexes on this value from within event handlers.
-func (e *Engine) Shard() int { return e.shard }
-
-// alloc takes an event slot from the arena and fills its payload.
-func (e *Engine) alloc(at Time, h Handler, t Event) (eventRef, *event) {
+// push queues ev at absolute time at, which the caller has checked
+// against the clock and the horizon.
+func (e *Engine) push(at Time, t Event) (eventRef, *event) {
 	r, ev := e.arena.alloc()
-	ev.at, ev.seq, ev.handler, ev.typed = at, e.seq, h, t
+	ev.at, ev.seq, ev.typed = at, e.seq, t
+	e.queue.push(qent{at: at, seq: e.seq, ref: r})
+	e.seq++
+	e.scheduled++
 	return r, ev
 }
 
@@ -65,7 +53,6 @@ func (e *Engine) alloc(at Time, h Handler, t Event) (eventRef, *event) {
 // by the drain loop before firing, or by Cancel) plus the next alloc's
 // fresh generation stamp invalidate outstanding handles.
 func (e *Engine) recycle(r eventRef, ev *event) {
-	ev.handler = nil
 	ev.typed = nil
 	ev.dead = true
 	e.arena.release(r)
@@ -115,39 +102,9 @@ func (e *Engine) Cancelled() uint64 { return e.cancelled }
 // chains from extending a bounded experiment.
 func (e *Engine) SetHorizon(t Time) { e.horizon = t }
 
-// Schedule queues h to run after delay. A negative delay is an error; a zero
-// delay runs h at the current instant, after all events already queued for
-// that instant.
-func (e *Engine) Schedule(delay Time, h Handler) (*Timer, error) {
-	if delay < 0 {
-		return nil, ErrPast
-	}
-	return e.ScheduleAt(e.now+delay, h)
-}
-
-// ScheduleAt queues h to run at absolute virtual time at.
-func (e *Engine) ScheduleAt(at Time, h Handler) (*Timer, error) {
-	return e.scheduleAt(at, h, nil)
-}
-
 // ScheduleEventAt queues a typed event to fire at absolute virtual time at,
-// returning a cancellation handle. Timers are engine-local: the sharded
-// router never diverts a cancellable event, so schedule timers on the shard
-// that owns their state.
+// returning a cancellation handle.
 func (e *Engine) ScheduleEventAt(at Time, ev Event) (*Timer, error) {
-	return e.scheduleAt(at, nil, ev)
-}
-
-// ScheduleEvent queues a typed event to fire after delay, with a
-// cancellation handle.
-func (e *Engine) ScheduleEvent(delay Time, ev Event) (*Timer, error) {
-	if delay < 0 {
-		return nil, ErrPast
-	}
-	return e.scheduleAt(e.now+delay, nil, ev)
-}
-
-func (e *Engine) scheduleAt(at Time, h Handler, t Event) (*Timer, error) {
 	if at < e.now {
 		return nil, ErrPast
 	}
@@ -156,49 +113,30 @@ func (e *Engine) scheduleAt(at Time, h Handler, t Event) (*Timer, error) {
 		// callers near the end of a run need no special casing.
 		return deadTimer, nil
 	}
-	r, ev := e.alloc(at, h, t)
-	e.queue.push(qent{at: at, seq: e.seq, ref: r})
-	e.seq++
-	e.scheduled++
-	return &Timer{e: e, ref: r, gen: ev.gen}, nil
+	r, slot := e.push(at, ev)
+	return &Timer{e: e, ref: r, gen: slot.gen}, nil
 }
 
-// PostAt is ScheduleAt without a cancellation handle: the hot-path variant
-// for fire-and-forget events, which schedules with zero allocations beyond
-// the handler closure. PostEventAt is the fully allocation-free typed form.
-func (e *Engine) PostAt(at Time, h Handler) error {
-	if at < e.now {
-		return ErrPast
+// ScheduleEvent queues a typed event to fire after delay, with a
+// cancellation handle.
+func (e *Engine) ScheduleEvent(delay Time, ev Event) (*Timer, error) {
+	if delay < 0 {
+		return nil, ErrPast
 	}
-	if e.horizon > 0 && at > e.horizon {
-		return nil // dropped by horizon policy, as ScheduleAt
-	}
-	r, _ := e.alloc(at, h, nil)
-	e.queue.push(qent{at: at, seq: e.seq, ref: r})
-	e.seq++
-	e.scheduled++
-	return nil
+	return e.ScheduleEventAt(e.now+delay, ev)
 }
 
 // PostEventAt queues a typed event to fire at absolute virtual time at,
 // without a cancellation handle. This is the hot-path scheduling primitive:
-// with a pooled concrete event it allocates nothing in steady state. Under
-// the sharded runner, a Destined event posted here may be diverted to the
-// destination peer's shard.
+// with a pooled concrete event it allocates nothing in steady state.
 func (e *Engine) PostEventAt(at Time, ev Event) error {
 	if at < e.now {
 		return ErrPast
 	}
 	if e.horizon > 0 && at > e.horizon {
-		return nil // dropped by horizon policy, as ScheduleAt
+		return nil // dropped by horizon policy, as ScheduleEventAt
 	}
-	if e.route != nil && e.route(at, ev) {
-		return nil // claimed by the shard router
-	}
-	r, _ := e.alloc(at, nil, ev)
-	e.queue.push(qent{at: at, seq: e.seq, ref: r})
-	e.seq++
-	e.scheduled++
+	e.push(at, ev)
 	return nil
 }
 
@@ -213,33 +151,7 @@ func (e *Engine) PostEvent(delay Time, ev Event) {
 	}
 }
 
-// Post queues h to run after delay without a cancellation handle; it panics
-// on a negative delay (the only invalid input). It is the allocation-free
-// counterpart of MustSchedule.
-func (e *Engine) Post(delay Time, h Handler) {
-	if delay < 0 {
-		panic(ErrPast)
-	}
-	if err := e.PostAt(e.now+delay, h); err != nil {
-		panic(err)
-	}
-}
-
-// MustSchedule is Schedule for callers with a known-valid delay; it panics on
-// error. Protocol code uses it with delays derived from the latency model,
-// which are always non-negative.
-func (e *Engine) MustSchedule(delay Time, h Handler) *Timer {
-	t, err := e.Schedule(delay, h)
-	if err != nil {
-		panic(err)
-	}
-	return t
-}
-
 // Stop makes the current Run return after the in-flight event completes.
-// Under the sharded loop, stopping a shard's engine ends the whole
-// Sharded run: the remaining shards finish the current epoch, then the
-// epoch loop returns.
 func (e *Engine) Stop() { e.stopped = true }
 
 // Run processes events until the queue drains, Stop is called, or maxEvents
@@ -279,57 +191,25 @@ func (e *Engine) RunUntil(deadline Time, maxEvents uint64) uint64 {
 		}
 		e.now = qe.at
 		ev.dead = true
-		h, t := ev.handler, ev.typed
+		t := ev.typed
 		e.recycle(qe.ref, ev)
 		if e.instr != nil {
 			e.instr.record(e, t)
 		}
-		if t != nil {
-			if e.observer != nil {
-				e.observer(e.now, t)
-			}
-			t.Fire(e)
-		} else {
-			h(e)
+		if e.observer != nil {
+			e.observer(e.now, t)
 		}
+		t.Fire(e)
 		e.processed++
 		delivered++
 	}
 	return delivered
 }
 
-// SetObserver installs fn to see every delivered typed event just before it
-// fires (nil uninstalls). Handler closures are not observed; the hook
-// exists for tests and debugging harnesses that assert on delivery order.
+// SetObserver installs fn to see every delivered event just before it
+// fires (nil uninstalls). The hook exists for tests and debugging harnesses
+// that assert on delivery order.
 func (e *Engine) SetObserver(fn func(at Time, ev Event)) { e.observer = fn }
-
-// advanceTo moves the clock forward to t without delivering anything; the
-// sharded runner uses it to keep idle shards' clocks in step with the
-// epoch. It never moves the clock backwards.
-func (e *Engine) advanceTo(t Time) {
-	if t > e.now {
-		e.now = t
-	}
-}
-
-// peekTime returns the timestamp of the earliest pending live event, or
-// (0, false) when the queue holds none. Cancelled events at the head are
-// discarded on the way.
-func (e *Engine) peekTime() (Time, bool) {
-	for {
-		qe, ok := e.queue.peek()
-		if !ok {
-			return 0, false
-		}
-		ev := e.arena.get(qe.ref)
-		if !ev.dead {
-			return qe.at, true
-		}
-		e.queue.pop()
-		e.cancelled++
-		e.recycle(qe.ref, ev)
-	}
-}
 
 // Drain discards all pending events without running them.
 func (e *Engine) Drain() {
@@ -339,15 +219,5 @@ func (e *Engine) Drain() {
 			return
 		}
 		e.recycle(qe.ref, e.arena.get(qe.ref))
-	}
-}
-
-// capFreeList reaps pooled event storage down to the live population plus
-// one slab, so a burst's worth of recycled slots does not pin memory for
-// the rest of the run. Only whole tail slabs are returned; the sharded
-// runner calls this at the sequential epoch barrier.
-func (e *Engine) capFreeList() {
-	if limit := e.arena.live() + arenaSlabSize; e.arena.freeLen() > limit {
-		e.arena.reap(limit)
 	}
 }

@@ -1,26 +1,6 @@
 package sim
 
-import (
-	"fmt"
-	"testing"
-)
-
-// BenchmarkScheduleRun measures raw event throughput: schedule+deliver of
-// chained events, the simulator's innermost loop.
-func BenchmarkScheduleRun(b *testing.B) {
-	e := NewEngine()
-	remaining := b.N
-	var step Handler
-	step = func(eng *Engine) {
-		if remaining > 0 {
-			remaining--
-			eng.MustSchedule(Millisecond, step)
-		}
-	}
-	e.MustSchedule(Millisecond, step)
-	b.ResetTimer()
-	e.Run(0)
-}
+import "testing"
 
 // BenchmarkQueueMixed measures heap behaviour under a realistic mixed
 // horizon: many timers at staggered deadlines.
@@ -28,7 +8,7 @@ func BenchmarkQueueMixed(b *testing.B) {
 	e := NewEngine()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.MustSchedule(Time(i%1000)*Millisecond, func(*Engine) {})
+		mustSchedule(e, Time(i%1000)*Millisecond, func(*Engine) {})
 		if i%1000 == 999 {
 			e.Run(0)
 		}
@@ -41,7 +21,7 @@ func BenchmarkQueueMixed(b *testing.B) {
 func BenchmarkTimerCancel(b *testing.B) {
 	e := NewEngine()
 	for i := 0; i < b.N; i++ {
-		t := e.MustSchedule(Second, func(*Engine) {})
+		t := mustSchedule(e, Second, func(*Engine) {})
 		t.Cancel()
 		if i%4096 == 4095 {
 			e.Drain()
@@ -49,9 +29,8 @@ func BenchmarkTimerCancel(b *testing.B) {
 	}
 }
 
-// BenchmarkPostEvent measures typed-event throughput: the pooled,
-// closure-free counterpart of BenchmarkScheduleRun. The gap between the
-// two is the per-event closure cost the typed core removes.
+// BenchmarkPostEvent measures raw event throughput: schedule+deliver of
+// one pooled, chained typed event, the simulator's innermost loop.
 func BenchmarkPostEvent(b *testing.B) {
 	e := NewEngine()
 	ev := &benchChainEvent{remaining: b.N}
@@ -67,74 +46,6 @@ func (ev *benchChainEvent) Fire(e *Engine) {
 	if ev.remaining > 0 {
 		ev.remaining--
 		e.PostEvent(Millisecond, ev)
-	}
-}
-
-// benchShardEvent is the sharded-throughput workload: a chain of destined
-// events that mostly stays inside its shard, crossing a shard boundary on
-// every 16th hop with a delay above the lookahead. spin models per-event
-// protocol work so the parallel drain has something to overlap.
-type benchShardEvent struct {
-	dst       int
-	peers     int
-	shards    int
-	remaining *int64
-	sink      uint64
-}
-
-func (ev *benchShardEvent) EventDst() int { return ev.dst }
-
-func (ev *benchShardEvent) Fire(e *Engine) {
-	x := uint64(ev.dst + 1)
-	for i := 0; i < 300; i++ {
-		x ^= x >> 30
-		x *= 0xbf58476d1ce4e5b9
-	}
-	ev.sink = x
-	n := *ev.remaining - 1
-	*ev.remaining = n
-	if n <= 0 {
-		return
-	}
-	if int(n)%16 == 0 {
-		// Cross-shard hop: land on the next shard, beyond the lookahead.
-		ev.dst = (ev.dst + ev.peers/ev.shards) % ev.peers
-		e.PostEvent(2*Millisecond, ev)
-		return
-	}
-	e.PostEvent(Millisecond, ev)
-}
-
-// BenchmarkShardedEvents measures events/sec of the sharded loop at 1, 2
-// and 4 shards with parallel epoch drains: per-shard chains with a bounded
-// cross-shard hop rate, the shape a per-locality protocol partition
-// produces. shards=1 is the sequential baseline.
-func BenchmarkShardedEvents(b *testing.B) {
-	for _, shards := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			const peers = 64
-			s := NewSharded(ShardedOptions{
-				Shards:    shards,
-				ShardOf:   func(p int) int { return p * shards / peers },
-				Parallel:  shards > 1,
-				Lookahead: Millisecond / 2,
-			})
-			// 16 chains per shard share each epoch, so a parallel drain
-			// has a full batch of per-event work to overlap.
-			chains := shards * 16
-			per := make([]int64, chains)
-			for c := 0; c < chains; c++ {
-				per[c] = int64(b.N / chains)
-				if per[c] == 0 {
-					per[c] = 1
-				}
-				s.Engine(0).PostEvent(Millisecond, &benchShardEvent{
-					dst: c * peers / chains, peers: peers, shards: shards, remaining: &per[c],
-				})
-			}
-			b.ResetTimer()
-			s.Run(0)
-		})
 	}
 }
 
@@ -210,43 +121,10 @@ func BenchmarkQueuePushPop(b *testing.B) {
 	})
 }
 
-// BenchmarkShardedDrainMode compares the persistent parked workers against
-// the legacy per-epoch goroutine spawn on the BenchmarkShardedEvents
-// workload: the delta is pure epoch-barrier scheduling overhead.
-func BenchmarkShardedDrainMode(b *testing.B) {
-	for _, mode := range []string{"persistent", "spawn"} {
-		for _, shards := range []int{2, 4} {
-			b.Run(fmt.Sprintf("%s/shards=%d", mode, shards), func(b *testing.B) {
-				const peers = 64
-				s := NewSharded(ShardedOptions{
-					Shards:    shards,
-					ShardOf:   func(p int) int { return p * shards / peers },
-					Parallel:  true,
-					Lookahead: Millisecond / 2,
-				})
-				s.SetSpawnDrain(mode == "spawn")
-				chains := shards * 16
-				per := make([]int64, chains)
-				for c := 0; c < chains; c++ {
-					per[c] = int64(b.N / chains)
-					if per[c] == 0 {
-						per[c] = 1
-					}
-					s.Engine(0).PostEvent(Millisecond, &benchShardEvent{
-						dst: c * peers / chains, peers: peers, shards: shards, remaining: &per[c],
-					})
-				}
-				b.ResetTimer()
-				s.Run(0)
-			})
-		}
-	}
-}
-
 // BenchmarkRNGStream measures substream derivation cost.
 func BenchmarkRNGStream(b *testing.B) {
 	r := NewRNG(1)
 	for i := 0; i < b.N; i++ {
-		_ = r.StreamN("peer", i&1023)
+		_ = r.Stream("peer")
 	}
 }

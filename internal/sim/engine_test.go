@@ -7,6 +7,22 @@ import (
 	"testing/quick"
 )
 
+// fnEvent adapts a plain function to Event, so tests can schedule inline
+// actions without declaring a type per case.
+type fnEvent func(*Engine)
+
+func (f fnEvent) Fire(e *Engine) { f(e) }
+
+// mustSchedule schedules fn after delay with a cancellation handle,
+// panicking on error (only a negative delay).
+func mustSchedule(e *Engine, delay Time, fn func(*Engine)) *Timer {
+	tm, err := e.ScheduleEvent(delay, fnEvent(fn))
+	if err != nil {
+		panic(err)
+	}
+	return tm
+}
+
 func TestTimeConversions(t *testing.T) {
 	if FromMillis(1.5) != 1500*Microsecond {
 		t.Fatalf("FromMillis(1.5) = %v", FromMillis(1.5))
@@ -44,9 +60,9 @@ func TestTimeString(t *testing.T) {
 func TestScheduleOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.MustSchedule(30*Millisecond, func(*Engine) { got = append(got, 3) })
-	e.MustSchedule(10*Millisecond, func(*Engine) { got = append(got, 1) })
-	e.MustSchedule(20*Millisecond, func(*Engine) { got = append(got, 2) })
+	mustSchedule(e, 30*Millisecond, func(*Engine) { got = append(got, 3) })
+	mustSchedule(e, 10*Millisecond, func(*Engine) { got = append(got, 1) })
+	mustSchedule(e, 20*Millisecond, func(*Engine) { got = append(got, 2) })
 	e.Run(0)
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("delivery order = %v", got)
@@ -61,7 +77,7 @@ func TestSameInstantFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 50; i++ {
 		i := i
-		e.MustSchedule(5*Millisecond, func(*Engine) { got = append(got, i) })
+		mustSchedule(e, 5*Millisecond, func(*Engine) { got = append(got, i) })
 	}
 	e.Run(0)
 	if !sort.IntsAreSorted(got) {
@@ -71,12 +87,12 @@ func TestSameInstantFIFO(t *testing.T) {
 
 func TestSchedulePastRejected(t *testing.T) {
 	e := NewEngine()
-	e.MustSchedule(10*Millisecond, func(*Engine) {})
+	mustSchedule(e, 10*Millisecond, func(*Engine) {})
 	e.Run(0)
-	if _, err := e.ScheduleAt(5*Millisecond, func(*Engine) {}); err != ErrPast {
+	if _, err := e.ScheduleEventAt(5*Millisecond, fnEvent(func(*Engine) {})); err != ErrPast {
 		t.Fatalf("expected ErrPast, got %v", err)
 	}
-	if _, err := e.Schedule(-1, func(*Engine) {}); err != ErrPast {
+	if _, err := e.ScheduleEvent(-1, fnEvent(func(*Engine) {})); err != ErrPast {
 		t.Fatalf("expected ErrPast for negative delay, got %v", err)
 	}
 }
@@ -84,8 +100,8 @@ func TestSchedulePastRejected(t *testing.T) {
 func TestZeroDelayRunsAtCurrentInstant(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	e.MustSchedule(10*Millisecond, func(eng *Engine) {
-		eng.MustSchedule(0, func(*Engine) { fired = true })
+	mustSchedule(e, 10*Millisecond, func(eng *Engine) {
+		mustSchedule(eng, 0, func(*Engine) { fired = true })
 	})
 	e.Run(0)
 	if !fired {
@@ -99,7 +115,7 @@ func TestZeroDelayRunsAtCurrentInstant(t *testing.T) {
 func TestCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	tm := e.MustSchedule(10*Millisecond, func(*Engine) { fired = true })
+	tm := mustSchedule(e, 10*Millisecond, func(*Engine) { fired = true })
 	if !tm.Pending() {
 		t.Fatal("timer should be pending")
 	}
@@ -123,7 +139,7 @@ func TestRunUntilDeadline(t *testing.T) {
 	var got []Time
 	for _, d := range []Time{10, 20, 30, 40} {
 		d := d
-		e.MustSchedule(d*Millisecond, func(eng *Engine) { got = append(got, eng.Now()) })
+		mustSchedule(e, d*Millisecond, func(eng *Engine) { got = append(got, eng.Now()) })
 	}
 	n := e.RunUntil(25*Millisecond, 0)
 	if n != 2 {
@@ -142,7 +158,7 @@ func TestMaxEvents(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 0; i < 10; i++ {
-		e.MustSchedule(Time(i)*Millisecond, func(*Engine) { count++ })
+		mustSchedule(e, Time(i)*Millisecond, func(*Engine) { count++ })
 	}
 	if n := e.Run(4); n != 4 || count != 4 {
 		t.Fatalf("Run(4) delivered %d, handler ran %d times", n, count)
@@ -156,7 +172,7 @@ func TestStop(t *testing.T) {
 	e := NewEngine()
 	count := 0
 	for i := 1; i <= 10; i++ {
-		e.MustSchedule(Time(i)*Millisecond, func(eng *Engine) {
+		mustSchedule(e, Time(i)*Millisecond, func(eng *Engine) {
 			count++
 			if count == 3 {
 				eng.Stop()
@@ -174,51 +190,12 @@ func TestStop(t *testing.T) {
 	}
 }
 
-func TestEvery(t *testing.T) {
-	e := NewEngine()
-	ticks := 0
-	e.Every(10*Millisecond, func(*Engine) bool {
-		ticks++
-		return ticks < 5
-	})
-	e.Run(0)
-	if ticks != 5 {
-		t.Fatalf("ticks = %d, want 5", ticks)
-	}
-	if e.Now() != 50*Millisecond {
-		t.Fatalf("clock = %v, want 50ms", e.Now())
-	}
-}
-
-func TestEveryCancel(t *testing.T) {
-	e := NewEngine()
-	ticks := 0
-	tm := e.Every(10*Millisecond, func(*Engine) bool {
-		ticks++
-		return true
-	})
-	e.MustSchedule(35*Millisecond, func(*Engine) { tm.Cancel() })
-	e.RunUntil(200*Millisecond, 0)
-	if ticks != 3 {
-		t.Fatalf("ticks = %d, want 3 (cancelled at 35ms)", ticks)
-	}
-}
-
-func TestEveryPanicsOnBadPeriod(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-positive period")
-		}
-	}()
-	NewEngine().Every(0, func(*Engine) bool { return false })
-}
-
 func TestHorizonDropsLateEvents(t *testing.T) {
 	e := NewEngine()
 	e.SetHorizon(50 * Millisecond)
 	fired := 0
-	e.MustSchedule(40*Millisecond, func(*Engine) { fired++ })
-	tm := e.MustSchedule(60*Millisecond, func(*Engine) { fired++ })
+	mustSchedule(e, 40*Millisecond, func(*Engine) { fired++ })
+	tm := mustSchedule(e, 60*Millisecond, func(*Engine) { fired++ })
 	if tm.Pending() {
 		t.Fatal("beyond-horizon timer should be dead on arrival")
 	}
@@ -231,7 +208,7 @@ func TestHorizonDropsLateEvents(t *testing.T) {
 func TestDrain(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 5; i++ {
-		e.MustSchedule(Time(i+1)*Millisecond, func(*Engine) { t.Fatal("drained event fired") })
+		mustSchedule(e, Time(i+1)*Millisecond, func(*Engine) { t.Fatal("drained event fired") })
 	}
 	e.Drain()
 	if e.Len() != 0 {
@@ -242,8 +219,8 @@ func TestDrain(t *testing.T) {
 
 func TestProcessedScheduledCounters(t *testing.T) {
 	e := NewEngine()
-	tm := e.MustSchedule(Millisecond, func(*Engine) {})
-	e.MustSchedule(2*Millisecond, func(*Engine) {})
+	tm := mustSchedule(e, Millisecond, func(*Engine) {})
+	mustSchedule(e, 2*Millisecond, func(*Engine) {})
 	tm.Cancel()
 	e.Run(0)
 	if e.Scheduled() != 2 {
@@ -269,7 +246,7 @@ func TestHeapPropertyQuick(t *testing.T) {
 		var got []rec
 		for i, d := range delays {
 			i, at := i, Time(d)
-			e.MustSchedule(at, func(eng *Engine) {
+			mustSchedule(e, at, func(eng *Engine) {
 				got = append(got, rec{eng.Now(), i})
 			})
 		}
@@ -346,21 +323,5 @@ func TestRNGStreamsIndependentAndReproducible(t *testing.T) {
 	}
 	if NewRNG(7).Seed() != 7 {
 		t.Fatal("Seed() mismatch")
-	}
-}
-
-func TestRNGStreamN(t *testing.T) {
-	r := NewRNG(11)
-	a := r.StreamN("peer", 0)
-	b := r.StreamN("peer", 1)
-	if a.Int63() == b.Int63() && a.Int63() == b.Int63() && a.Int63() == b.Int63() {
-		t.Fatal("indexed streams look identical")
-	}
-	x := NewRNG(11).StreamN("peer", 5)
-	y := NewRNG(11).StreamN("peer", 5)
-	for i := 0; i < 50; i++ {
-		if x.Int63() != y.Int63() {
-			t.Fatal("StreamN not reproducible")
-		}
 	}
 }

@@ -58,35 +58,20 @@ func FromSeconds(s float64) Time {
 	return Time(s*float64(Second) + 0.5)
 }
 
-// Handler is the callback attached to a scheduled event. It receives the
-// engine so it can schedule follow-up events.
-//
-// Handler is the legacy closure form of event dispatch: every Schedule/Post
-// of a fresh closure allocates it. Hot paths use typed Events instead
-// (PostEvent and friends), which dispatch through a pooled concrete type
-// with zero allocations; Handler remains fully supported for cold paths and
-// existing callers, and the two forms interleave in one queue with the same
-// (time, seq) FIFO ordering.
-type Handler func(e *Engine)
-
-// Event is a typed scheduled action: the engine calls Fire on the engine
-// that delivers it. Concrete implementations live with the subsystem that
-// schedules them (protocol message deliveries, scenario churn ticks, core
-// submission chains) and are pooled by their owners, so steady-state
-// scheduling allocates nothing — storing a pointer-typed Event in the
-// queue's interface field does not box.
-//
-// Fire receives the delivering engine rather than a captured one so the
-// same event value works under the sharded runner, where the delivering
-// engine is the destination shard's.
+// Event is a typed scheduled action: the engine calls Fire with itself
+// when the event is delivered. Concrete implementations live with the
+// subsystem that schedules them (protocol message deliveries, scenario
+// churn ticks, core submission chains) and are pooled by their owners, so
+// steady-state scheduling allocates nothing — storing a pointer-typed
+// Event in the queue's interface field does not box.
 type Event interface {
 	Fire(e *Engine)
 }
 
-// Destined is implemented by events that name a destination peer. The
-// sharded runner routes a Destined event to the shard owning its
-// destination; undestined events stay on the engine they were scheduled on
-// (shard 0 hosts the control plane).
+// Destined is implemented by events that name a destination peer, so
+// engine-level traces can attribute a delivery to the peer it lands on.
+// Control-plane events (submission chains, gossip and churn ticks) have no
+// destination.
 type Destined interface {
 	Event
 	// EventDst returns the destination peer id.
@@ -121,15 +106,14 @@ func EventName(ev Event) string {
 
 // event is one scheduled entry's payload, stored flat in the engine's event
 // arena and addressed by eventRef handles. seq breaks timestamp ties in
-// scheduling order so same-instant events are FIFO. Exactly one of handler
-// and typed is set. Slots recycle through the arena's free list once
-// delivered or discarded; gen is a unique per-allocation stamp, so a stale
-// Timer handle can never match a later incarnation of the slot.
+// scheduling order so same-instant events are FIFO. Slots recycle through
+// the arena's free list once delivered or discarded; gen is a unique
+// per-allocation stamp, so a stale Timer handle can never match a later
+// incarnation of the slot.
 type event struct {
-	at      Time
-	seq     uint64
-	handler Handler
-	typed   Event
+	at    Time
+	seq   uint64
+	typed Event
 	// next chains this slot into its calendar lane (see queue.go); lanes
 	// are intrusive lists through the arena, so queueing an event never
 	// allocates lane storage.
@@ -140,8 +124,8 @@ type event struct {
 
 // Timer is a handle to a scheduled event that can be cancelled. It names
 // the event as an arena reference plus the generation it was issued for,
-// so it stays safe to interrogate after the event fires, recycles, or even
-// after the storage behind it is reaped.
+// so it stays safe to interrogate after the event fires or its slot is
+// recycled.
 type Timer struct {
 	e   *Engine
 	ref eventRef
@@ -166,7 +150,7 @@ func (t *Timer) Cancel() bool {
 
 // Pending reports whether the event has neither fired nor been cancelled.
 func (t *Timer) Pending() bool {
-	if t == nil || t.e == nil || !t.e.arena.valid(t.ref) {
+	if t == nil || t.e == nil {
 		return false
 	}
 	ev := t.e.arena.get(t.ref)

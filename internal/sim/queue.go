@@ -45,8 +45,7 @@ import "slices"
 // them.
 //
 // Everything here is a pure function of the push/pop sequence — no clocks,
-// no randomness — so runs stay bit-reproducible and the sharded drain's
-// parallel/sequential equivalence is untouched.
+// no randomness — so runs stay bit-reproducible.
 
 const (
 	// calMinBuckets / calMaxBuckets bound the lane count; rebuilds pick a

@@ -273,13 +273,13 @@ func TestQueueCancelledReapedOnRebuild(t *testing.T) {
 func TestEngineCancelledCounter(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	keep, err := e.Schedule(5, func(*Engine) { fired++ })
+	keep, err := e.ScheduleEvent(5, fnEvent(func(*Engine) { fired++ }))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var timers []*Timer
 	for i := 0; i < 10; i++ {
-		tm, err := e.Schedule(Time(10+i), func(*Engine) { fired++ })
+		tm, err := e.ScheduleEvent(Time(10+i), fnEvent(func(*Engine) { fired++ }))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -300,62 +300,36 @@ func TestEngineCancelledCounter(t *testing.T) {
 	}
 }
 
-// TestEngineFreeListCap checks the burst-reap satellite: after a burst
-// drains, capFreeList returns tail slabs so the pooled capacity tracks the
-// live population instead of the historical peak.
-func TestEngineFreeListCap(t *testing.T) {
-	e := NewEngine()
-	for i := 0; i < 20*arenaSlabSize; i++ {
-		e.Post(Time(i%1000), func(*Engine) {})
-	}
-	e.Run(0)
-	if got := e.FreeListLen(); got < 20*arenaSlabSize {
-		t.Fatalf("free list %d after burst, want >= %d", got, 20*arenaSlabSize)
-	}
-	e.capFreeList()
-	if got := e.FreeListLen(); got > arenaSlabSize {
-		t.Fatalf("free list %d after cap, want <= %d", got, arenaSlabSize)
-	}
-	// The engine still schedules correctly from the shrunken arena.
-	ran := false
-	e.Post(1, func(*Engine) { ran = true })
-	e.Run(0)
-	if !ran {
-		t.Fatal("engine broken after free-list cap")
-	}
-}
-
-// TestTimerSafeAfterReap checks that a Timer whose storage was reaped
-// stays safely non-pending, even after the arena grows back over the same
-// slab indices.
+// TestTimerSafeAfterReap checks that Timers whose events fired stay safely
+// non-pending once the arena has recycled their slots and reissued them to
+// new events.
 func TestTimerSafeAfterReap(t *testing.T) {
 	e := NewEngine()
 	var timers []*Timer
 	for i := 0; i < 4*arenaSlabSize; i++ {
-		tm, err := e.Schedule(Time(i+1), func(*Engine) {})
+		tm, err := e.ScheduleEvent(Time(i+1), fnEvent(func(*Engine) {}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		timers = append(timers, tm)
 	}
 	e.Run(0)
-	e.capFreeList()
 	for _, tm := range timers {
 		if tm.Pending() {
-			t.Fatal("fired timer reports pending after reap")
+			t.Fatal("fired timer reports pending after recycle")
 		}
 		if tm.Cancel() {
-			t.Fatal("fired timer cancelled after reap")
+			t.Fatal("fired timer cancelled after recycle")
 		}
 	}
-	// Regrow over the reaped slab indices: stale handles must not match
-	// the new incarnations.
+	// Reissue every recycled slot: stale handles must not match the new
+	// incarnations.
 	for i := 0; i < 4*arenaSlabSize; i++ {
-		e.Post(Time(1), func(*Engine) {})
+		e.PostEvent(Time(1), fnEvent(func(*Engine) {}))
 	}
 	for _, tm := range timers {
 		if tm.Pending() {
-			t.Fatal("stale timer matched a regrown slot")
+			t.Fatal("stale timer matched a reissued slot")
 		}
 	}
 	e.Run(0)

@@ -39,17 +39,20 @@ func TestTypedEventDispatch(t *testing.T) {
 	}
 }
 
+// TestTypedAndHandlerEventsShareFIFO interleaves plain handler functions
+// (through the fnEvent adapter) with a pooled struct event at one instant:
+// delivery follows scheduling order whatever the concrete event type.
 func TestTypedAndHandlerEventsShareFIFO(t *testing.T) {
 	e := NewEngine()
 	var log []int
-	e.Post(5*Millisecond, func(*Engine) { log = append(log, 0) })
+	e.PostEvent(5*Millisecond, fnEvent(func(*Engine) { log = append(log, 0) }))
 	e.PostEvent(5*Millisecond, &countEvent{log: &log, tag: 1})
-	e.Post(5*Millisecond, func(*Engine) { log = append(log, 2) })
+	e.PostEvent(5*Millisecond, fnEvent(func(*Engine) { log = append(log, 2) }))
 	e.PostEvent(5*Millisecond, &countEvent{log: &log, tag: 3})
 	e.Run(0)
 	for i, v := range log {
 		if v != i {
-			t.Fatalf("same-instant typed/handler events not FIFO: %v", log)
+			t.Fatalf("same-instant events of different types not FIFO: %v", log)
 		}
 	}
 	if len(log) != 4 {
@@ -121,9 +124,10 @@ func TestObserverSeesTypedEvents(t *testing.T) {
 	})
 	var log []int
 	e.PostEvent(2*Millisecond, &countEvent{log: &log, tag: 1})
-	e.Post(Millisecond, func(*Engine) {}) // handlers are not observed
+	e.PostEvent(Millisecond, anonEvent{})
 	e.Run(0)
-	if len(names) != 1 || names[0] != "count" || ats[0] != 2*Millisecond {
+	if len(names) != 2 || names[0] != "sim.anonEvent" || ats[0] != Millisecond ||
+		names[1] != "count" || ats[1] != 2*Millisecond {
 		t.Fatalf("observer saw %v at %v", names, ats)
 	}
 }
@@ -134,7 +138,7 @@ func TestObserverSeesTypedEvents(t *testing.T) {
 func TestTimerStaleGenerationInvalidated(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	t1 := e.MustSchedule(Millisecond, func(*Engine) { fired++ })
+	t1 := mustSchedule(e, Millisecond, func(*Engine) { fired++ })
 	e.Run(0)
 	if fired != 1 {
 		t.Fatal("first event did not fire")
@@ -144,7 +148,7 @@ func TestTimerStaleGenerationInvalidated(t *testing.T) {
 	}
 	// The second schedule reuses the recycled internal event; the stale
 	// handle must observe the bumped generation.
-	t2 := e.MustSchedule(Millisecond, func(*Engine) { fired++ })
+	t2 := mustSchedule(e, Millisecond, func(*Engine) { fired++ })
 	if t1.Pending() {
 		t.Fatal("stale timer reports pending for the recycled event")
 	}
@@ -166,13 +170,13 @@ func TestTimerStaleGenerationInvalidated(t *testing.T) {
 func TestTimerCancelledThenRecycled(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	t1 := e.MustSchedule(Millisecond, func(*Engine) { fired++ })
+	t1 := mustSchedule(e, Millisecond, func(*Engine) { fired++ })
 	t1.Cancel()
 	e.Run(0)
 	if fired != 0 {
 		t.Fatal("cancelled event fired")
 	}
-	t2 := e.MustSchedule(Millisecond, func(*Engine) { fired++ })
+	t2 := mustSchedule(e, Millisecond, func(*Engine) { fired++ })
 	if t1.Pending() || t1.Cancel() {
 		t.Fatal("cancelled stale timer interacts with recycled event")
 	}
@@ -182,12 +186,12 @@ func TestTimerCancelledThenRecycled(t *testing.T) {
 	}
 }
 
-// TestDeadTimerFromHorizon covers the horizon-dropped path: ScheduleAt
+// TestDeadTimerFromHorizon covers the horizon-dropped path: ScheduleEventAt
 // beyond the horizon returns the shared permanently-dead timer.
 func TestDeadTimerFromHorizon(t *testing.T) {
 	e := NewEngine()
 	e.SetHorizon(10 * Millisecond)
-	tm, err := e.ScheduleAt(20*Millisecond, func(*Engine) { t.Fatal("dropped event fired") })
+	tm, err := e.ScheduleEventAt(20*Millisecond, fnEvent(func(*Engine) { t.Fatal("dropped event fired") }))
 	if err != nil {
 		t.Fatalf("horizon drop should not error: %v", err)
 	}
@@ -202,7 +206,7 @@ func TestDeadTimerFromHorizon(t *testing.T) {
 		t.Fatalf("typed horizon drop: timer=%v err=%v", te.Pending(), err)
 	}
 	// The shared dead timer must never alias a live event.
-	live := e.MustSchedule(5*Millisecond, func(*Engine) {})
+	live := mustSchedule(e, 5*Millisecond, func(*Engine) {})
 	if tm.Cancel() || !live.Pending() {
 		t.Fatal("dead timer affected a live event")
 	}

@@ -91,7 +91,7 @@ func (k Kind) String() string {
 // kind name (sim.EventName), for destined events its destination peer, and
 // for transfer-shaped events (sim.Sourced) the sending peer, so engine
 // traces show links rather than bare destinations. Install it with
-// Engine.SetObserver (or Sharded.SetObserver) to see the typed event core
+// Engine.SetObserver to see the typed event core
 // itself — query deliveries, response hops, gossip rounds, churn ticks —
 // beneath the protocol-level trace.
 func EventObserver(tr Tracer) func(at sim.Time, ev sim.Event) {

@@ -143,21 +143,6 @@ type Options struct {
 	// Options fields act as the campaign's base configuration. Only
 	// RunSweep consults it.
 	Sweep *Sweep
-	// Shards, when > 1, runs each simulation on the sharded event loop:
-	// peers partition into Shards per-locality event queues (occupied
-	// locIds dense-ranked, rank modulo Shards), protocol state is split
-	// per shard, and the queues of each epoch drain on one goroutine per
-	// shard — a single run uses multiple cores — with cross-locality
-	// deliveries hopping queues through a deterministic mailbox and the
-	// epoch width derived from the latency model's one-way floor. Runs are
-	// exactly reproducible for a fixed shard count; because cross-shard
-	// same-instant deliveries interleave differently than in the single
-	// queue, results are statistically equivalent rather than bit-identical
-	// to Shards <= 1 (which always takes the plain engine path, locked
-	// byte-for-byte by the golden tables). Values exceeding the occupied
-	// locality count clamp down to it. See README "Typed event core and
-	// sharding".
-	Shards int
 	// Observer, when non-nil, attaches run-wide observability: every
 	// simulation executed under these Options accumulates event-loop and
 	// protocol telemetry into the Observer's registry, and Result.Runtime
@@ -168,9 +153,8 @@ type Options struct {
 	// tracing: queries matching the retention policy (slowest-N, failed,
 	// deep) are kept as span trees on Result.Traces, renderable as text
 	// timelines (Trace.Render) or exportable to Perfetto
-	// (Result.WritePerfetto). Recording is inert — per-shard trace cells
-	// merge at the epoch barrier, so the parallel drain stays enabled and
-	// results are byte-identical with or without it. See FlightRecorder.
+	// (Result.WritePerfetto). Recording is inert — results are
+	// byte-identical with or without it. See FlightRecorder.
 	FlightRecorder *FlightRecorder
 	// Trials is the number of independent replications RunTrials and
 	// CompareTrials execute per protocol (<= 0 means 1). Trial t runs in
@@ -263,9 +247,6 @@ func (o Options) coreConfig() core.Config {
 			period = sim.Second
 		}
 		cfg.Protocol.BloomGossipPeriod = period
-	}
-	if o.Shards > 1 {
-		cfg.Shards = o.Shards
 	}
 	cfg.ChurnEnabled = o.Churn
 	cfg.Churn = overlay.DefaultChurn()
@@ -417,13 +398,13 @@ func newResult(p Protocol, r *core.RunResult) *Result {
 	}
 }
 
-// resultErr surfaces a sharded run abort (a cross-shard barrier violation,
-// which ends the run with partial results instead of crashing) from any of
-// the given runs as a facade error.
+// resultErr surfaces a run that could not execute (a scenario timeline
+// that does not fit the measured query count) from any of the given runs
+// as a facade error.
 func resultErr(runs ...*core.RunResult) error {
 	for _, r := range runs {
 		if r != nil && r.Err != nil {
-			return fmt.Errorf("locaware: sharded run aborted: %w", r.Err)
+			return fmt.Errorf("locaware: run failed: %w", r.Err)
 		}
 	}
 	return nil

@@ -17,9 +17,9 @@ import (
 // executed under it accumulates event-loop, protocol and campaign
 // telemetry — counters, gauges and log-scale histograms — into one
 // scrapeable surface. Instrumentation is provably inert: the hot path
-// only increments shard-confined cells (merged at the sequential epoch
-// barrier), never touches an RNG stream or event order, so results are
-// byte-identical with or without an Observer, at any shard count.
+// only increments run-local cells (folded into the registry at the end of
+// the run), never touches an RNG stream or event order, so results are
+// byte-identical with or without an Observer.
 //
 // One Observer may be shared across concurrent runs; totals then cover
 // all of them. Per-run snapshots are on Result.Runtime.
@@ -49,11 +49,8 @@ func (o *Observer) WriteMetrics(w io.Writer) error { return o.reg.WritePrometheu
 // contributed to its Observer, assembled from the run's own cells, so it
 // is meaningful even when the Observer is shared.
 type RuntimeStats struct {
-	// Shards is the shard count the run was configured with (0 or 1 =
-	// single event queue).
-	Shards int
 	// EventsByKind counts delivered events per kind (query-deliver,
-	// response-deliver, gossip-round, ...) across all shards.
+	// response-deliver, gossip-round, ...).
 	EventsByKind map[string]uint64
 	// EventsScheduled counts all schedule calls, including events later
 	// dropped by the horizon.
@@ -61,24 +58,17 @@ type RuntimeStats struct {
 	// EventsCancelled counts cancelled events the scheduler discarded,
 	// whether skipped at pop time or reaped during a calendar rebuild.
 	EventsCancelled uint64
-	// QueueDepthHighWater is the deepest any event queue got.
+	// QueueDepthHighWater is the deepest the event queue got.
 	QueueDepthHighWater uint64
 	// FreeListEvents is the pooled-event capacity left at end of run.
 	FreeListEvents int
-	// Epochs, CrossShardEvents and MaxEpochDrainSeconds describe the
-	// sharded epoch loop; zero on a single queue.
-	Epochs               uint64
-	CrossShardEvents     uint64
-	MaxEpochDrainSeconds float64
 	// Protocol-plane counters.
-	Submitted            uint64
-	Finalized            uint64
-	CacheHits            uint64
-	CacheMisses          uint64
-	StorageHits          uint64
-	BloomInstallCopies   uint64
-	PendingHighWater     uint64
-	FinalizeWatermarkLag uint64
+	Submitted        uint64
+	Finalized        uint64
+	CacheHits        uint64
+	CacheMisses      uint64
+	StorageHits      uint64
+	PendingHighWater uint64
 	// TraceEventsDropped counts trace events discarded by a full tracer
 	// buffer (RunTraced's bounded buffer). Non-zero means the trace is
 	// incomplete — raise maxEvents, or switch to a FlightRecorder, whose
@@ -93,25 +83,19 @@ func liftRuntime(rs *core.RuntimeStats) *RuntimeStats {
 		return nil
 	}
 	return &RuntimeStats{
-		Shards:               rs.Shards,
-		EventsByKind:         rs.EventsByKind,
-		EventsScheduled:      rs.EventsScheduled,
-		EventsCancelled:      rs.EventsCancelled,
-		QueueDepthHighWater:  rs.QueueDepthHighWater,
-		FreeListEvents:       rs.FreeListEvents,
-		Epochs:               rs.Epochs,
-		CrossShardEvents:     rs.CrossShardEvents,
-		MaxEpochDrainSeconds: rs.MaxEpochDrainSeconds,
-		Submitted:            rs.Submitted,
-		Finalized:            rs.Finalized,
-		CacheHits:            rs.CacheHits,
-		CacheMisses:          rs.CacheMisses,
-		StorageHits:          rs.StorageHits,
-		BloomInstallCopies:   rs.BloomInstallCopies,
-		PendingHighWater:     rs.PendingHighWater,
-		FinalizeWatermarkLag: rs.FinalizeWatermarkLag,
-		TraceEventsDropped:   rs.TraceEventsDropped,
-		PoolFree:             rs.PoolFree,
+		EventsByKind:        rs.EventsByKind,
+		EventsScheduled:     rs.EventsScheduled,
+		EventsCancelled:     rs.EventsCancelled,
+		QueueDepthHighWater: rs.QueueDepthHighWater,
+		FreeListEvents:      rs.FreeListEvents,
+		Submitted:           rs.Submitted,
+		Finalized:           rs.Finalized,
+		CacheHits:           rs.CacheHits,
+		CacheMisses:         rs.CacheMisses,
+		StorageHits:         rs.StorageHits,
+		PendingHighWater:    rs.PendingHighWater,
+		TraceEventsDropped:  rs.TraceEventsDropped,
+		PoolFree:            rs.PoolFree,
 	}
 }
 
@@ -121,20 +105,10 @@ func (rs *RuntimeStats) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "runtime stats:\n")
 	fmt.Fprintf(&b, "  event loop:\n")
-	shards := rs.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	fmt.Fprintf(&b, "    %-28s %d\n", "shards", shards)
 	fmt.Fprintf(&b, "    %-28s %d\n", "events scheduled", rs.EventsScheduled)
 	fmt.Fprintf(&b, "    %-28s %d\n", "events cancelled", rs.EventsCancelled)
 	fmt.Fprintf(&b, "    %-28s %d\n", "queue depth high water", rs.QueueDepthHighWater)
 	fmt.Fprintf(&b, "    %-28s %d\n", "event freelist len", rs.FreeListEvents)
-	if rs.Epochs > 0 {
-		fmt.Fprintf(&b, "    %-28s %d\n", "epochs", rs.Epochs)
-		fmt.Fprintf(&b, "    %-28s %d\n", "cross-shard events", rs.CrossShardEvents)
-		fmt.Fprintf(&b, "    %-28s %.6f\n", "max epoch drain (s)", rs.MaxEpochDrainSeconds)
-	}
 	if len(rs.EventsByKind) > 0 {
 		fmt.Fprintf(&b, "  events by kind:\n")
 		kinds := make([]string, 0, len(rs.EventsByKind))
@@ -152,9 +126,7 @@ func (rs *RuntimeStats) Report() string {
 	fmt.Fprintf(&b, "    %-28s %d\n", "cache hits", rs.CacheHits)
 	fmt.Fprintf(&b, "    %-28s %d\n", "cache misses", rs.CacheMisses)
 	fmt.Fprintf(&b, "    %-28s %d\n", "storage hits", rs.StorageHits)
-	fmt.Fprintf(&b, "    %-28s %d\n", "bloom install copies", rs.BloomInstallCopies)
 	fmt.Fprintf(&b, "    %-28s %d\n", "pending queries high water", rs.PendingHighWater)
-	fmt.Fprintf(&b, "    %-28s %d\n", "finalize watermark lag", rs.FinalizeWatermarkLag)
 	if rs.TraceEventsDropped > 0 {
 		fmt.Fprintf(&b, "  warning: trace buffer overflowed; %d events dropped (trace is incomplete)\n", rs.TraceEventsDropped)
 	}

@@ -12,11 +12,9 @@ import (
 )
 
 // TestObsDeterminismInert is the inertness lock of the observability
-// layer: attaching an Observer must not move a single output byte — on
-// the plain engine (checked against the golden table) and on the sharded
-// loop (checked instrumented-vs-uninstrumented, since sharded output
-// differs from the golden single-queue bytes by design). Run under -race
-// in CI, this also proves the shard-confined cells never race.
+// layer: attaching an Observer must not move a single output byte —
+// checked against the golden table, and field-for-field between an
+// instrumented and an uninstrumented Run.
 func TestObsDeterminismInert(t *testing.T) {
 	// Golden path: instrumented Compare reproduces the golden bytes.
 	o := goldenOptions()
@@ -51,11 +49,9 @@ func TestObsDeterminismInert(t *testing.T) {
 		}
 	}
 
-	// Sharded path: instrumentation on vs off, field-for-field equal
-	// results (the parallel drain stays parallel under instrumentation).
+	// Instrumentation on vs off: field-for-field equal results.
 	run := func(observe bool) *Result {
 		o := goldenOptions()
-		o.Shards = 2
 		if observe {
 			o.Observer = NewObserver()
 		}
@@ -69,16 +65,12 @@ func TestObsDeterminismInert(t *testing.T) {
 	if without.Runtime != nil {
 		t.Fatal("uninstrumented run grew a Runtime snapshot")
 	}
-	rt := with.Runtime
-	if rt == nil {
-		t.Fatal("instrumented sharded run has no Runtime snapshot")
-	}
-	if rt.Epochs == 0 || rt.Shards != 2 {
-		t.Fatalf("sharded runtime telemetry: %+v", rt)
+	if with.Runtime == nil {
+		t.Fatal("instrumented run has no Runtime snapshot")
 	}
 	with.Runtime = nil
 	if !reflect.DeepEqual(with, without) {
-		t.Fatalf("sharded run drifted under instrumentation:\nwith:    %+v\nwithout: %+v", with, without)
+		t.Fatalf("run drifted under instrumentation:\nwith:    %+v\nwithout: %+v", with, without)
 	}
 }
 
@@ -108,7 +100,7 @@ func TestObserverEndpoints(t *testing.T) {
 		t.Fatalf("/metrics answered %d", code)
 	}
 	for _, fam := range []string{
-		"sim_events_total", "sim_queue_depth_high_water", "sim_epoch_drain_seconds",
+		"sim_events_total", "sim_queue_depth_high_water", "sim_events_scheduled_total",
 		"protocol_queries_submitted_total", "protocol_cache_hits_total",
 		"campaign_cells_executed_total",
 	} {
