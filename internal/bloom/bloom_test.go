@@ -262,6 +262,70 @@ func anyShareBits(w string, words []string) bool {
 	return true
 }
 
+// TestCountingLazyCounters checks that a filter that was never added to
+// behaves as all zeros, and that its counters appear on the first Add.
+func TestCountingLazyCounters(t *testing.T) {
+	c := NewCounting(1200, 6)
+	if c.counts != nil {
+		t.Fatal("counters allocated before the first Add")
+	}
+	if c.Test("x") {
+		t.Fatal("empty filter reports a member")
+	}
+	c.Remove("x")
+	c.Reset()
+	if c.counts != nil {
+		t.Fatal("Remove or Reset allocated counters")
+	}
+	f := New(1200, 6)
+	f.Add("stale")
+	if err := c.Export(f); err != nil || f.PopCount() != 0 {
+		t.Fatalf("empty export: err %v, %d bits set", err, f.PopCount())
+	}
+	c.Add("x")
+	if len(c.counts) != 1200 || !c.Test("x") {
+		t.Fatal("first Add did not allocate and set the counters")
+	}
+}
+
+// TestCountingTakeChanged checks when the publisher's change flag is set:
+// only by counters crossing zero and by Reset, never cleared by Export or
+// Snapshot.
+func TestCountingTakeChanged(t *testing.T) {
+	c := NewCounting(1200, 6)
+	if c.TakeChanged() {
+		t.Fatal("fresh filter reports a change")
+	}
+	c.Add("a")
+	_ = c.Snapshot()
+	if err := c.Export(New(1200, 6)); err != nil {
+		t.Fatal(err)
+	}
+	if !c.TakeChanged() {
+		t.Fatal("0→1 crossing not recorded, or cleared by Export/Snapshot")
+	}
+	if c.TakeChanged() {
+		t.Fatal("TakeChanged did not clear the flag")
+	}
+	c.Add("a")
+	c.Remove("a")
+	if c.TakeChanged() {
+		t.Fatal("counter moves that cross no zero recorded as a change")
+	}
+	c.Remove("a")
+	if !c.TakeChanged() {
+		t.Fatal("1→0 crossing not recorded")
+	}
+	c.Remove("a")
+	if c.TakeChanged() {
+		t.Fatal("remove at zero recorded as a change")
+	}
+	c.Reset()
+	if !c.TakeChanged() {
+		t.Fatal("Reset not recorded")
+	}
+}
+
 func TestCountingGeometryClamps(t *testing.T) {
 	c := NewCounting(0, 0)
 	if c.M() < 8 || c.K() < 1 {

@@ -6,10 +6,16 @@ package bloom
 // discarded" (§4.2) — discarding requires deletion support, which a peer
 // gets by keeping this counting filter locally and exporting its non-zero
 // positions as the plain bit vector it gossips.
+//
+// The counters are allocated on the first Add: most peers of a large world
+// never cache a filename, and an empty filter behaves as all zeros.
 type Counting struct {
 	m      uint32
 	k      int
 	counts []uint16
+	// changed records that the bit view may differ from the one the
+	// publisher last took: a counter crossed 0→1 or 1→0, or Reset ran.
+	changed bool
 }
 
 // NewCounting returns an m-position counting filter with k hash functions;
@@ -24,7 +30,7 @@ func NewCounting(m, k int) *Counting {
 	if k > maxK {
 		k = maxK
 	}
-	return &Counting{m: uint32(m), k: k, counts: make([]uint16, m)}
+	return &Counting{m: uint32(m), k: k}
 }
 
 // M returns the number of positions.
@@ -38,10 +44,18 @@ func (c *Counting) Add(s string) {
 	var buf [maxK]uint32
 	idx := buf[:c.k]
 	indexes(s, c.m, idx)
+	if c.counts == nil {
+		c.counts = make([]uint16, c.m)
+	}
 	for _, i := range idx {
-		if c.counts[i] < ^uint16(0) {
-			c.counts[i]++
+		n := c.counts[i]
+		if n == ^uint16(0) {
+			continue
 		}
+		if n == 0 {
+			c.changed = true
+		}
+		c.counts[i] = n + 1
 	}
 }
 
@@ -49,18 +63,29 @@ func (c *Counting) Add(s string) {
 // added corrupts a counting filter; callers (the response index) guarantee
 // add/remove pairing, and Remove defensively floors counters at zero.
 func (c *Counting) Remove(s string) {
+	if c.counts == nil {
+		return
+	}
 	var buf [maxK]uint32
 	idx := buf[:c.k]
 	indexes(s, c.m, idx)
 	for _, i := range idx {
-		if c.counts[i] > 0 {
-			c.counts[i]--
+		n := c.counts[i]
+		if n == 0 {
+			continue
 		}
+		if n == 1 {
+			c.changed = true
+		}
+		c.counts[i] = n - 1
 	}
 }
 
 // Test reports whether s may be present.
 func (c *Counting) Test(s string) bool {
+	if c.counts == nil {
+		return false
+	}
 	var buf [maxK]uint32
 	idx := buf[:c.k]
 	indexes(s, c.m, idx)
@@ -99,4 +124,16 @@ func (c *Counting) Reset() {
 	for i := range c.counts {
 		c.counts[i] = 0
 	}
+	c.changed = true
+}
+
+// TakeChanged reports whether the bit view may have changed since the
+// previous TakeChanged call (or since construction) and clears the flag.
+// It is the publisher's test: a false result means Export would write the
+// same bits as at the previous take. Export and Snapshot leave the flag
+// alone.
+func (c *Counting) TakeChanged() bool {
+	ch := c.changed
+	c.changed = false
+	return ch
 }

@@ -1,0 +1,155 @@
+package netmodel
+
+import "math/rand"
+
+// Per-pair jitter draws rand.New(rand.NewSource(seed)).NormFloat64() for a
+// seed derived from the pair's identity. Seeding a math/rand source runs
+// 1,841 steps of its seeding LCG and fills a 607-word register, which made
+// jitter seeding the single largest cost of a large run. The first draw,
+// however, reads only two register words, so it has a closed form:
+//
+//   - Seed normalises the seed into [1, 2³¹−2] and steps the Lehmer
+//     generator x ← 48271·x mod (2³¹−1); vec[i] packs steps 21+3i,
+//     22+3i and 23+3i (shifted by 40, 20 and 0 bits) XOR rngCooked[i].
+//   - The first Uint64 of a fresh source is vec[333]+vec[606], i.e.
+//     steps 1020–1022 and 1839–1841.
+//   - NormFloat64's first ziggurat iteration takes j = int32(Uint32())
+//     and returns j·wn[j&127] when |j| < kn[j&127].
+//
+// jitterNorm takes that route when the first iteration accepts (≈97% of
+// seeds) and otherwise falls back to math/rand itself, so its result is
+// math/rand's, bit for bit, by construction.
+
+const (
+	lcgMod    = 1<<31 - 1 // math/rand's int32max
+	lcgMul    = 48271     // seedrand's multiplier
+	lcgZero   = 89482311  // the seed math/rand substitutes for 0
+	rngMask63 = 1<<63 - 1
+)
+
+// rngCooked[333] and rngCooked[606] of Go's math/rand (rng.go).
+var cooked333, cooked606 int64 = -4633371852008891965, 4152330101494654406
+
+// lcgPow holds 48271^n mod (2³¹−1) for the six seeding steps the first
+// draw reads: 1020, 1021, 1022 (vec[333]) and 1839, 1840, 1841 (vec[606]).
+var lcgPow = [6]uint64{
+	lcgPowN(1020), lcgPowN(1021), lcgPowN(1022),
+	lcgPowN(1839), lcgPowN(1840), lcgPowN(1841),
+}
+
+func lcgPowN(n int) uint64 {
+	p := uint64(1)
+	for ; n > 0; n-- {
+		p = p * lcgMul % lcgMod
+	}
+	return p
+}
+
+// jitterNorm returns rand.New(rand.NewSource(seed)).NormFloat64().
+func jitterNorm(seed int64) float64 {
+	if x, ok := firstNorm(seed); ok {
+		return x
+	}
+	return rand.New(rand.NewSource(seed)).NormFloat64()
+}
+
+// firstNorm computes the first NormFloat64 draw of a source seeded with
+// seed in closed form. ok is false when math/rand's first ziggurat
+// iteration rejects, in which case the draw needs further outputs of the
+// source and the caller must ask math/rand.
+func firstNorm(seed int64) (x float64, ok bool) {
+	seed %= lcgMod
+	if seed < 0 {
+		seed += lcgMod
+	}
+	if seed == 0 {
+		seed = lcgZero
+	}
+	s := uint64(seed)
+	v333 := uint64(cooked333) ^ lcgWord(s, lcgPow[0], lcgPow[1], lcgPow[2])
+	v606 := uint64(cooked606) ^ lcgWord(s, lcgPow[3], lcgPow[4], lcgPow[5])
+	j := int32(uint32(((v333 + v606) & rngMask63) >> 31))
+	i := j & 0x7F
+	if absInt32(j) < kn[i] {
+		return float64(j) * float64(wn[i]), true
+	}
+	return 0, false
+}
+
+// lcgWord packs three consecutive LCG states of seed s the way
+// rngSource.Seed builds a register word.
+func lcgWord(s, p0, p1, p2 uint64) uint64 {
+	return (s*p0%lcgMod)<<40 ^ (s*p1%lcgMod)<<20 ^ s*p2%lcgMod
+}
+
+func absInt32(i int32) uint32 {
+	if i < 0 {
+		return uint32(-i)
+	}
+	return uint32(i)
+}
+
+// kn and wn are the ziggurat tables of Go's math/rand (normal.go,
+// Copyright 2009 The Go Authors, BSD-style license), copied unchanged.
+var kn = [128]uint32{
+	0x76ad2212, 0x0, 0x600f1b53, 0x6ce447a6, 0x725b46a2,
+	0x7560051d, 0x774921eb, 0x789a25bd, 0x799045c3, 0x7a4bce5d,
+	0x7adf629f, 0x7b5682a6, 0x7bb8a8c6, 0x7c0ae722, 0x7c50cce7,
+	0x7c8cec5b, 0x7cc12cd6, 0x7ceefed2, 0x7d177e0b, 0x7d3b8883,
+	0x7d5bce6c, 0x7d78dd64, 0x7d932886, 0x7dab0e57, 0x7dc0dd30,
+	0x7dd4d688, 0x7de73185, 0x7df81cea, 0x7e07c0a3, 0x7e163efa,
+	0x7e23b587, 0x7e303dfd, 0x7e3beec2, 0x7e46db77, 0x7e51155d,
+	0x7e5aabb3, 0x7e63abf7, 0x7e6c222c, 0x7e741906, 0x7e7b9a18,
+	0x7e82adfa, 0x7e895c63, 0x7e8fac4b, 0x7e95a3fb, 0x7e9b4924,
+	0x7ea0a0ef, 0x7ea5b00d, 0x7eaa7ac3, 0x7eaf04f3, 0x7eb3522a,
+	0x7eb765a5, 0x7ebb4259, 0x7ebeeafd, 0x7ec2620a, 0x7ec5a9c4,
+	0x7ec8c441, 0x7ecbb365, 0x7ece78ed, 0x7ed11671, 0x7ed38d62,
+	0x7ed5df12, 0x7ed80cb4, 0x7eda175c, 0x7edc0005, 0x7eddc78e,
+	0x7edf6ebf, 0x7ee0f647, 0x7ee25ebe, 0x7ee3a8a9, 0x7ee4d473,
+	0x7ee5e276, 0x7ee6d2f5, 0x7ee7a620, 0x7ee85c10, 0x7ee8f4cd,
+	0x7ee97047, 0x7ee9ce59, 0x7eea0eca, 0x7eea3147, 0x7eea3568,
+	0x7eea1aab, 0x7ee9e071, 0x7ee98602, 0x7ee90a88, 0x7ee86d08,
+	0x7ee7ac6a, 0x7ee6c769, 0x7ee5bc9c, 0x7ee48a67, 0x7ee32efc,
+	0x7ee1a857, 0x7edff42f, 0x7ede0ffa, 0x7edbf8d9, 0x7ed9ab94,
+	0x7ed7248d, 0x7ed45fae, 0x7ed1585c, 0x7ece095f, 0x7eca6ccb,
+	0x7ec67be2, 0x7ec22eee, 0x7ebd7d1a, 0x7eb85c35, 0x7eb2c075,
+	0x7eac9c20, 0x7ea5df27, 0x7e9e769f, 0x7e964c16, 0x7e8d44ba,
+	0x7e834033, 0x7e781728, 0x7e6b9933, 0x7e5d8a1a, 0x7e4d9ded,
+	0x7e3b737a, 0x7e268c2f, 0x7e0e3ff5, 0x7df1aa5d, 0x7dcf8c72,
+	0x7da61a1e, 0x7d72a0fb, 0x7d30e097, 0x7cd9b4ab, 0x7c600f1a,
+	0x7ba90bdc, 0x7a722176, 0x77d664e5,
+}
+var wn = [128]float32{
+	1.7290405e-09, 1.2680929e-10, 1.6897518e-10, 1.9862688e-10,
+	2.2232431e-10, 2.4244937e-10, 2.601613e-10, 2.7611988e-10,
+	2.9073963e-10, 3.042997e-10, 3.1699796e-10, 3.289802e-10,
+	3.4035738e-10, 3.5121603e-10, 3.616251e-10, 3.7164058e-10,
+	3.8130857e-10, 3.9066758e-10, 3.9975012e-10, 4.08584e-10,
+	4.1719309e-10, 4.2559822e-10, 4.338176e-10, 4.418672e-10,
+	4.497613e-10, 4.5751258e-10, 4.651324e-10, 4.7263105e-10,
+	4.8001775e-10, 4.87301e-10, 4.944885e-10, 5.015873e-10,
+	5.0860405e-10, 5.155446e-10, 5.2241467e-10, 5.2921934e-10,
+	5.359635e-10, 5.426517e-10, 5.4928817e-10, 5.5587696e-10,
+	5.624219e-10, 5.6892646e-10, 5.753941e-10, 5.818282e-10,
+	5.882317e-10, 5.946077e-10, 6.00959e-10, 6.072884e-10,
+	6.135985e-10, 6.19892e-10, 6.2617134e-10, 6.3243905e-10,
+	6.386974e-10, 6.449488e-10, 6.511956e-10, 6.5744005e-10,
+	6.6368433e-10, 6.699307e-10, 6.7618144e-10, 6.824387e-10,
+	6.8870465e-10, 6.949815e-10, 7.012715e-10, 7.075768e-10,
+	7.1389966e-10, 7.202424e-10, 7.266073e-10, 7.329966e-10,
+	7.394128e-10, 7.4585826e-10, 7.5233547e-10, 7.58847e-10,
+	7.653954e-10, 7.719835e-10, 7.7861395e-10, 7.852897e-10,
+	7.920138e-10, 7.987892e-10, 8.0561924e-10, 8.125073e-10,
+	8.194569e-10, 8.2647167e-10, 8.3355556e-10, 8.407127e-10,
+	8.479473e-10, 8.55264e-10, 8.6266755e-10, 8.7016316e-10,
+	8.777562e-10, 8.8545243e-10, 8.932582e-10, 9.0117996e-10,
+	9.09225e-10, 9.174008e-10, 9.2571584e-10, 9.341788e-10,
+	9.427997e-10, 9.515889e-10, 9.605579e-10, 9.697193e-10,
+	9.790869e-10, 9.88676e-10, 9.985036e-10, 1.0085882e-09,
+	1.0189509e-09, 1.0296151e-09, 1.0406069e-09, 1.0519566e-09,
+	1.063698e-09, 1.0758702e-09, 1.0885183e-09, 1.1016947e-09,
+	1.1154611e-09, 1.1298902e-09, 1.1450696e-09, 1.1611052e-09,
+	1.1781276e-09, 1.1962995e-09, 1.2158287e-09, 1.2369856e-09,
+	1.2601323e-09, 1.2857697e-09, 1.3146202e-09, 1.347784e-09,
+	1.3870636e-09, 1.4357403e-09, 1.5008659e-09, 1.6030948e-09,
+}

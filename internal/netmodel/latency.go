@@ -3,8 +3,6 @@ package netmodel
 import (
 	"errors"
 	"math"
-	"math/rand"
-	"sync"
 )
 
 // LatencyConfig maps plane distances to round-trip times.
@@ -39,23 +37,7 @@ type Model struct {
 	// (>= 1); a path's factor is the max of its endpoints'. nil means no
 	// degradation anywhere and costs the hot path one pointer check.
 	factors []float64
-
-	// jmu/jcache memoise jittered pair RTTs: deriving the per-pair jitter
-	// stream costs a rand.Rand allocation, which on the simulator's hot
-	// path (one RTT per message hop) dominated the per-event allocation
-	// budget. The cache holds only pairs actually used — overlay links and
-	// download pairs — and is capped at maxJitterCacheEntries; once full,
-	// further pairs are recomputed per call (identical values, no growth).
-	// The mutex keeps the documented concurrent-reader safety; it is
-	// uncontended in practice because each simulation owns its Model.
-	jmu    sync.Mutex
-	jcache map[uint64]float64
 }
-
-// maxJitterCacheEntries bounds the jitter memo (~16 bytes/entry plus map
-// overhead, ≈100 MB at the cap) so a very long churn-heavy run cannot grow
-// it without limit.
-const maxJitterCacheEntries = 1 << 22
 
 // ErrPeerRange reports an out-of-range peer id.
 var ErrPeerRange = errors.New("netmodel: peer id out of range")
@@ -92,7 +74,8 @@ func (m *Model) Position(i int) (Point, error) {
 
 // RTT returns the round-trip time in milliseconds between peers a and b.
 // It is symmetric, zero on the diagonal, and always within
-// [MinRTT, MaxRTT*(1+Jitter…)] for distinct peers.
+// [MinRTT, MaxRTT*(1+Jitter…)] for distinct peers. It keeps no per-pair
+// state: the jitter is recomputed from the pair's identity on every call.
 func (m *Model) RTT(a, b int) float64 {
 	if a == b {
 		return 0
@@ -105,16 +88,8 @@ func (m *Model) RTT(a, b int) float64 {
 	if lo > hi {
 		lo, hi = hi, lo
 	}
-	key := uint64(lo)<<32 | uint64(uint32(hi))
-	m.jmu.Lock()
-	if rtt, ok := m.jcache[key]; ok {
-		m.jmu.Unlock()
-		return m.degrade(a, b, rtt)
-	}
-	m.jmu.Unlock()
 	// Deterministic symmetric jitter: seed from unordered pair identity.
-	r := rand.New(rand.NewSource(m.jseed ^ (int64(lo)<<20 | int64(hi))))
-	factor := 1 + m.cfg.Jitter*r.NormFloat64()
+	factor := 1 + m.cfg.Jitter*jitterNorm(m.jseed^(int64(lo)<<20|int64(hi)))
 	if factor < 0.5 {
 		factor = 0.5
 	}
@@ -122,20 +97,11 @@ func (m *Model) RTT(a, b int) float64 {
 	if rtt < m.cfg.MinRTT {
 		rtt = m.cfg.MinRTT
 	}
-	m.jmu.Lock()
-	if m.jcache == nil {
-		m.jcache = make(map[uint64]float64, 256)
-	}
-	if len(m.jcache) < maxJitterCacheEntries {
-		m.jcache[key] = rtt
-	}
-	m.jmu.Unlock()
 	return m.degrade(a, b, rtt)
 }
 
-// degrade applies the regional-degradation factor to a path's RTT: the
-// jitter cache stores healthy values, so clearing the factors restores the
-// exact pre-degradation latencies.
+// degrade applies the regional-degradation factor to a path's healthy RTT,
+// so clearing the factors restores the exact pre-degradation latencies.
 func (m *Model) degrade(a, b int, rtt float64) float64 {
 	if m.factors == nil {
 		return rtt

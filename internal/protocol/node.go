@@ -175,9 +175,12 @@ func (n *Node) storageMatch(q keywords.Query) (keywords.Filename, bool) {
 // counting filter and returns the delta against the previous snapshot
 // (what the node would gossip to neighbours, footnote 1). The returned
 // delta aliases the node's scratch buffer and is valid until the next
-// call; in steady state the whole refresh allocates nothing.
+// call; in steady state the whole refresh allocates nothing. The bit view
+// changes only when a counter crosses zero, so a filter with no such
+// crossing since the last publish returns the empty delta without
+// exporting.
 func (n *Node) PublishBloom() (bloom.Delta, error) {
-	if n.cbf == nil {
+	if n.cbf == nil || !n.cbf.TakeChanged() {
 		return bloom.Delta{}, nil
 	}
 	if err := n.cbf.Export(n.snapScratch); err != nil {
